@@ -13,7 +13,9 @@ fn main() {
         let cfg = experiment_config().with_engine(PathEngine::HopBoundedDp);
         let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), 3);
         for hops in [1usize, 2, 4] {
-            group.bench(&format!("hops-{hops}/{k}"), || heuristic_with_hops(&nmdb, &cfg, hops));
+            group.bench(&format!("hops-{hops}/{k}"), || {
+                PlacementRequest::new(&nmdb, &cfg).heuristic_hops(hops).run_heuristic()
+            });
         }
     }
 }

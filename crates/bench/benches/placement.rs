@@ -14,13 +14,14 @@ fn main() {
             experiment_config().with_engine(PathEngine::HopBoundedDp).with_max_hop(Some(6));
         let nmdb = random_nmdb(&ft.graph, &cfg_dp, &experiment_params(), 7);
         group.bench(&format!("transportation-dp/{k}"), || {
-            optimize(&nmdb, &cfg_dp, SolverBackend::Transportation)
+            PlacementRequest::new(&nmdb, &cfg_dp).backend(SolverBackend::Transportation).run_lp()
         });
-        group
-            .bench(&format!("simplex-dp/{k}"), || optimize(&nmdb, &cfg_dp, SolverBackend::Simplex));
+        group.bench(&format!("simplex-dp/{k}"), || {
+            PlacementRequest::new(&nmdb, &cfg_dp).backend(SolverBackend::Simplex).run_lp()
+        });
         let cfg_enum = cfg_dp.with_engine(PathEngine::Enumerate);
         group.bench(&format!("transportation-enum/{k}"), || {
-            optimize(&nmdb, &cfg_enum, SolverBackend::Transportation)
+            PlacementRequest::new(&nmdb, &cfg_enum).backend(SolverBackend::Transportation).run_lp()
         });
     }
 }

@@ -99,6 +99,16 @@ pub fn fig7(seed: u64, effort: Effort) -> String {
     )
 }
 
+/// One exact transportation solve on a fresh cost engine.
+fn exact(nmdb: &Nmdb, cfg: &DustConfig) -> Placement {
+    PlacementRequest::new(nmdb, cfg).run_lp().expect("experiment configs are valid")
+}
+
+/// Algorithm 1 (one-hop reach) on a fresh cost engine.
+fn one_hop(nmdb: &Nmdb, cfg: &DustConfig) -> HeuristicOutcome {
+    PlacementRequest::new(nmdb, cfg).run_heuristic().expect("experiment configs are valid")
+}
+
 /// Fig. 8 — ILP computation time vs max-hop on the 4-k fat-tree, with the
 /// paper-faithful exhaustive path enumeration.
 pub fn fig8(seed: u64, effort: Effort) -> String {
@@ -117,7 +127,7 @@ pub fn fig8(seed: u64, effort: Effort) -> String {
         let mut feasible = 0;
         for i in 0..iterations {
             let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed + i as u64);
-            let (p, d) = timed(|| optimize(&nmdb, &cfg, SolverBackend::Transportation));
+            let (p, d) = timed(|| exact(&nmdb, &cfg));
             times.push(d);
             if p.status == PlacementStatus::Optimal {
                 feasible += 1;
@@ -189,7 +199,7 @@ pub fn fig10(seed: u64, effort: Effort) -> String {
             let mut times = Vec::new();
             for i in 0..*iterations {
                 let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed + i as u64);
-                let (_, d) = timed(|| optimize(&nmdb, &cfg, SolverBackend::Transportation));
+                let (_, d) = timed(|| exact(&nmdb, &cfg));
                 times.push(d);
             }
             let mean = mean_secs(&times);
@@ -236,7 +246,7 @@ pub fn fig11(seed: u64, effort: Effort) -> String {
         let cfg_h = experiment_config().with_engine(PathEngine::HopBoundedDp);
         let mut hfr = 0.0;
         for nmdb in scenario_stream(&ft.graph, &cfg_h, &experiment_params(), seed, h_iters) {
-            hfr += heuristic(&nmdb, &cfg_h).hfr_percent();
+            hfr += one_hop(&nmdb, &cfg_h).hfr_percent();
         }
         hfr /= h_iters as f64;
         hfr_points.push((ft.node_count() as f64, hfr));
@@ -248,7 +258,7 @@ pub fn fig11(seed: u64, effort: Effort) -> String {
             for i in 0..ilp_iters {
                 let nmdb =
                     random_nmdb(&ft.graph, &cfg_i, &experiment_params(), seed + 1000 + i as u64);
-                let (_, d) = timed(|| optimize(&nmdb, &cfg_i, SolverBackend::Transportation));
+                let (_, d) = timed(|| exact(&nmdb, &cfg_i));
                 times.push(d);
             }
             format!("{:.4}", mean_secs(&times))
@@ -291,7 +301,7 @@ pub fn fig12(seed: u64, effort: Effort) -> String {
         let mut times = Vec::new();
         for i in 0..iters {
             let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed + i as u64);
-            let (_, d) = timed(|| heuristic(&nmdb, &cfg));
+            let (_, d) = timed(|| one_hop(&nmdb, &cfg));
             times.push(d);
         }
         let mean = mean_secs(&times);
@@ -316,7 +326,6 @@ pub fn fig12(seed: u64, effort: Effort) -> String {
 /// recommendation, implemented): global ILP vs per-pod zoned ILP (with and
 /// without the cross-zone residual sweep) vs the one-hop heuristic.
 pub fn zoned(seed: u64, effort: Effort) -> String {
-    use dust::core::{optimize_zoned, zone_fat_tree};
     let plans: &[(usize, usize)] = match effort {
         Effort::Quick => &[(8, 5), (16, 3)],
         Effort::Full => &[(8, 15), (16, 8)],
@@ -346,7 +355,7 @@ pub fn zoned(seed: u64, effort: Effort) -> String {
             if total_cs <= 0.0 {
                 continue;
             }
-            let (g, dg) = timed(|| optimize(&nmdb, &cfg, SolverBackend::Transportation));
+            let (g, dg) = timed(|| exact(&nmdb, &cfg));
             let g_ok = g.status == PlacementStatus::Optimal;
             let g_beta = if g_ok { g.beta } else { f64::NAN };
             acc[0].1.push(dg.as_secs_f64());
@@ -356,7 +365,10 @@ pub fn zoned(seed: u64, effort: Effort) -> String {
 
             for (idx, sweep) in [(1usize, false), (2, true)] {
                 let (z, _) = timed(|| {
-                    optimize_zoned(&nmdb, &cfg, &zoning, SolverBackend::Transportation, sweep)
+                    PlacementRequest::new(&nmdb, &cfg)
+                        .zoned(&zoning, sweep)
+                        .run_zoned()
+                        .expect("experiment configs are valid")
                 });
                 acc[idx].1.push(z.total_time.as_secs_f64());
                 acc[idx].2.push(z.max_zone_time.as_secs_f64());
@@ -365,7 +377,7 @@ pub fn zoned(seed: u64, effort: Effort) -> String {
                     acc[idx].4.push(z.beta / g_beta);
                 }
             }
-            let (h, dh) = timed(|| heuristic(&nmdb, &cfg));
+            let (h, dh) = timed(|| one_hop(&nmdb, &cfg));
             acc[3].1.push(dh.as_secs_f64());
             acc[3].2.push(dh.as_secs_f64());
             acc[3].3.push(h.hfr_percent());

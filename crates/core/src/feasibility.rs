@@ -5,20 +5,13 @@
 //! reachable candidates can absorb. The paper introduces
 //! `Δ_io = (CO_max − x_min) / (100 − C_max)` to let operators pick
 //! thresholds where infeasibility is rare (recommendation: `Δ_io ≥ 2`).
-//! This module provides a cheap *capacity precheck* and the Monte-Carlo
-//! io-rate estimator behind Fig. 7.
+//! This module provides the Monte-Carlo io-rate estimator behind Fig. 7.
 
 use crate::config::DustConfig;
-use crate::optimizer::{optimize_with, PlacementStatus, SolverBackend};
+use crate::optimizer::PlacementStatus;
+use crate::request::PlacementRequest;
 use crate::scenario::{scenario_stream, ScenarioParams};
-use crate::state::Nmdb;
 use dust_topology::{CostEngine, Graph};
-
-/// Aggregate-capacity precheck: `Σ Cs ≤ Σ Cd` is necessary (not
-/// sufficient — routing/hop limits can still make Eq. 3 infeasible).
-pub fn capacity_precheck(nmdb: &Nmdb, cfg: &DustConfig) -> bool {
-    nmdb.total_cs(cfg) <= nmdb.total_cd(cfg) + 1e-9
-}
 
 /// One Fig. 7 measurement: thresholds, their `Δ_io`, and the observed
 /// infeasible-optimization rate.
@@ -56,7 +49,9 @@ pub fn estimate_io_rate(
     let mut infeasible = 0usize;
     for nmdb in scenario_stream(graph, cfg, params, seed, iterations) {
         engine.retain_epoch(&nmdb.graph);
-        let p = optimize_with(&nmdb, cfg, SolverBackend::Transportation, &engine)
+        let p = PlacementRequest::new(&nmdb, cfg)
+            .engine(&engine)
+            .run_lp()
             .expect("threshold configs are validated by the sweep caller");
         if p.status == PlacementStatus::Infeasible {
             infeasible += 1;
@@ -94,18 +89,7 @@ pub fn io_rate_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::NodeState;
-    use dust_topology::{topologies, FatTree, Link};
-
-    #[test]
-    fn precheck_matches_totals() {
-        let g = topologies::line(2, Link::default());
-        let cfg = DustConfig::paper_defaults();
-        let ok = Nmdb::new(g.clone(), vec![NodeState::new(85.0, 1.0), NodeState::new(20.0, 1.0)]);
-        assert!(capacity_precheck(&ok, &cfg));
-        let bad = Nmdb::new(g, vec![NodeState::new(99.0, 1.0), NodeState::new(49.5, 1.0)]);
-        assert!(!capacity_precheck(&bad, &cfg));
-    }
+    use dust_topology::FatTree;
 
     #[test]
     fn io_rate_decreases_with_delta() {

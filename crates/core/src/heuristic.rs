@@ -15,7 +15,7 @@ use crate::config::DustConfig;
 use crate::error::DustError;
 use crate::optimizer::Assignment;
 use crate::state::Nmdb;
-use dust_topology::{min_inv_lu_dp_path, CostEngine, NodeId, PathEngine};
+use dust_topology::{CostEngine, NodeId, PathEngine};
 use std::time::{Duration, Instant};
 
 /// Result of one heuristic round.
@@ -57,38 +57,16 @@ impl HeuristicOutcome {
     }
 }
 
-/// Run Algorithm 1 with the paper's one-hop candidate restriction.
+/// Generalized Algorithm 1 behind
+/// [`PlacementRequest::run_heuristic`](crate::PlacementRequest::run_heuristic):
+/// candidates within `hops` of each Busy node.
 ///
-/// Thin wrapper over [`crate::PlacementRequest`] — prefer
-/// `PlacementRequest::new(nmdb, cfg).heuristic().solve()`, which shares
-/// one [`CostEngine`] across entry points.
-pub fn heuristic(nmdb: &Nmdb, cfg: &DustConfig) -> HeuristicOutcome {
-    heuristic_with_hops(nmdb, cfg, 1)
-}
-
-/// Generalized Algorithm 1: candidates within `hops` of each Busy node.
-///
-/// `hops = 1` is the published algorithm. Larger values trade runtime for a
-/// lower HFR (ablation 3 in DESIGN.md). Thin wrapper over
-/// [`crate::PlacementRequest`] kept for source compatibility.
-///
-/// # Panics
-/// Panics if `hops == 0` or `cfg` is invalid.
-pub fn heuristic_with_hops(nmdb: &Nmdb, cfg: &DustConfig, hops: usize) -> HeuristicOutcome {
-    assert!(hops >= 1, "heuristic needs at least one hop of reach");
-    cfg.validate().expect("invalid DustConfig");
-    crate::PlacementRequest::new(nmdb, cfg)
-        .heuristic_hops(hops)
-        .run_heuristic()
-        .expect("config and hop count validated above")
-}
-
-/// Generalized Algorithm 1 with an explicit shared [`CostEngine`].
-///
-/// Candidate pricing reads one hop-bounded Bellman–Ford row per Busy node
-/// from `engine` — prefetched in parallel and memoized per graph epoch, so
-/// repeated rounds on an unchanged graph price nothing twice.
-pub fn heuristic_with(
+/// `hops = 1` is the published algorithm; larger values trade runtime for
+/// a lower HFR (ablation 3 in DESIGN.md). Candidate pricing reads one
+/// hop-bounded Bellman–Ford row per Busy node from `engine` — prefetched
+/// in parallel and memoized per graph epoch, so repeated rounds on an
+/// unchanged graph price nothing twice.
+pub(crate) fn solve(
     nmdb: &Nmdb,
     cfg: &DustConfig,
     hops: usize,
@@ -149,7 +127,7 @@ pub fn heuristic_with(
             // Routes are reconstructed only for accepted assignments — a
             // handful per Busy node — keeping the heuristic at
             // O(hops·|E|) per Busy node overall.
-            let route = min_inv_lu_dp_path(&nmdb.graph, b, c, Some(hops)).map(|(_, p)| p);
+            let route = PathEngine::HopBoundedDp.route(&nmdb.graph, b, c, Some(hops));
             assignments.push(Assignment { from: b, to: c, amount: take, t_rmin, route });
         }
         if cs > 1e-12 {
@@ -165,10 +143,16 @@ pub fn heuristic_with(
 mod tests {
     use super::*;
     use crate::state::NodeState;
+    use crate::PlacementRequest;
     use dust_topology::{topologies, Graph, Link};
 
     fn cfg() -> DustConfig {
         DustConfig::paper_defaults() // c_max 80, co_max 50
+    }
+
+    /// Algorithm 1 with candidates within `hops`, through the builder.
+    fn heuristic(db: &Nmdb, cfg: &DustConfig, hops: usize) -> HeuristicOutcome {
+        PlacementRequest::new(db, cfg).heuristic_hops(hops).run_heuristic().unwrap()
     }
 
     #[test]
@@ -176,7 +160,7 @@ mod tests {
         // 0 (busy, 90) - 1 (candidate, 20): excess 10, spare 30
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(90.0, 10.0), NodeState::new(20.0, 1.0)]);
-        let h = heuristic(&db, &cfg());
+        let h = heuristic(&db, &cfg(), 1);
         assert!(h.fully_offloaded());
         assert_eq!(h.hfr_percent(), 0.0);
         assert_eq!(h.assignments.len(), 1);
@@ -192,11 +176,11 @@ mod tests {
             g,
             vec![NodeState::new(90.0, 10.0), NodeState::new(60.0, 1.0), NodeState::new(20.0, 1.0)],
         );
-        let h = heuristic(&db, &cfg());
+        let h = heuristic(&db, &cfg(), 1);
         assert!(h.nothing_offloaded());
         assert!((h.hfr_percent() - 100.0).abs() < 1e-9);
         // ...but the generalized 2-hop variant succeeds
-        let h2 = heuristic_with_hops(&db, &cfg(), 2);
+        let h2 = heuristic(&db, &cfg(), 2);
         assert!(h2.fully_offloaded());
     }
 
@@ -205,7 +189,7 @@ mod tests {
         // busy with 20 excess, single neighbor with 5 spare
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(100.0, 10.0), NodeState::new(45.0, 1.0)]);
-        let h = heuristic(&db, &cfg());
+        let h = heuristic(&db, &cfg(), 1);
         assert!(!h.fully_offloaded());
         assert!(!h.nothing_offloaded());
         assert!((h.total_cse - 15.0).abs() < 1e-9);
@@ -221,7 +205,7 @@ mod tests {
             g,
             vec![NodeState::new(44.0, 1.0), NodeState::new(85.0, 10.0), NodeState::new(85.0, 10.0)],
         );
-        let h = heuristic(&db, &cfg());
+        let h = heuristic(&db, &cfg(), 1);
         let absorbed: f64 = h.assignments.iter().map(|a| a.amount).sum();
         assert!((absorbed - 6.0).abs() < 1e-9, "hub only holds 6");
         assert!((h.total_cse - 4.0).abs() < 1e-9);
@@ -244,7 +228,7 @@ mod tests {
                 NodeState::new(20.0, 1.0), // spare 30
             ],
         );
-        let h = heuristic(&db, &cfg());
+        let h = heuristic(&db, &cfg(), 1);
         assert!(h.fully_offloaded());
         assert_eq!(h.assignments[0].to, NodeId(1), "cheap route first");
         assert!((h.assignments[0].amount - 2.0).abs() < 1e-9);
@@ -256,7 +240,7 @@ mod tests {
     fn no_busy_nodes_is_trivial_success() {
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(10.0, 1.0), NodeState::new(10.0, 1.0)]);
-        let h = heuristic(&db, &cfg());
+        let h = heuristic(&db, &cfg(), 1);
         assert_eq!(h.hfr_percent(), 0.0);
         assert!(h.fully_offloaded());
         assert!(!h.nothing_offloaded());
@@ -268,7 +252,7 @@ mod tests {
         // two adjacent busy nodes, no candidates
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(90.0, 1.0), NodeState::new(95.0, 1.0)]);
-        let h = heuristic(&db, &cfg());
+        let h = heuristic(&db, &cfg(), 1);
         assert!(h.nothing_offloaded());
         assert!((h.hfr_percent() - 100.0).abs() < 1e-9);
     }
@@ -286,7 +270,7 @@ mod tests {
             ],
         );
         // hub busy; candidates are leaves 1 and 2 — but they're 1 hop away
-        let h = heuristic(&db, &cfg());
+        let h = heuristic(&db, &cfg(), 1);
         let recomputed: f64 = h.assignments.iter().map(|a| a.amount * a.t_rmin).sum();
         assert!((h.beta - recomputed).abs() < 1e-9);
         assert!(h.fully_offloaded());
@@ -297,6 +281,6 @@ mod tests {
     fn zero_hops_rejected() {
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(90.0, 1.0), NodeState::new(10.0, 1.0)]);
-        heuristic_with_hops(&db, &cfg(), 0);
+        heuristic(&db, &cfg(), 0);
     }
 }

@@ -52,33 +52,15 @@ pub struct IntegralPlacement {
     pub nodes: usize,
 }
 
-/// Solve the agent-level integral placement.
+/// The agent-level integral placement behind
+/// [`PlacementRequest::run_integral`](crate::PlacementRequest::run_integral).
 ///
 /// `units` lists the movable workload of *every* busy node; units owned by
-/// non-busy nodes are ignored. Returns infeasible when no subset of unit
-/// moves can bring every Busy node to or below `C_max` within candidate
-/// capacities.
-pub fn optimize_integral(nmdb: &Nmdb, cfg: &DustConfig, units: &[WorkUnit]) -> IntegralPlacement {
-    cfg.validate().expect("invalid DustConfig");
-    for u in units {
-        assert!(
-            u.weight.is_finite() && u.weight >= 0.0,
-            "unit weight must be finite and >= 0, got {}",
-            u.weight
-        );
-    }
-    crate::PlacementRequest::new(nmdb, cfg)
-        .integral(units)
-        .run_integral()
-        .expect("config and unit weights validated above")
-}
-
-/// Agent-level integral placement with an explicit shared [`CostEngine`].
-///
-/// Identical model to [`optimize_integral`], but the `T_rmin` matrix is
-/// priced through `engine` and invalid inputs surface as
-/// [`DustError::BadConfig`] instead of panics.
-pub fn optimize_integral_with(
+/// non-busy nodes are ignored. Infeasible when no subset of unit moves can
+/// bring every Busy node to or below `C_max` within candidate capacities.
+/// The `T_rmin` matrix is priced through `engine`; a unit weight that is
+/// not finite and non-negative is a [`DustError::BadConfig`].
+pub(crate) fn solve(
     nmdb: &Nmdb,
     cfg: &DustConfig,
     units: &[WorkUnit],
@@ -189,12 +171,17 @@ pub fn optimize_integral_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{optimize, PlacementStatus, SolverBackend};
+    use crate::optimizer::{PlacementStatus, SolverBackend};
     use crate::state::NodeState;
+    use crate::PlacementRequest;
     use dust_topology::{topologies, Link, PathEngine};
 
     fn cfg() -> DustConfig {
         DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp)
+    }
+
+    fn integral(db: &Nmdb, cfg: &DustConfig, units: &[WorkUnit]) -> IntegralPlacement {
+        PlacementRequest::new(db, cfg).integral(units).run_integral().unwrap()
     }
 
     /// 0 (busy, Cs = 10) — 1 (candidate, Cd = 30).
@@ -213,7 +200,7 @@ mod tests {
         // units 6+6+3: must move at least 10 → optimal subset {6, 6} (12)
         // or {6, 3} = 9 < 10 infeasible subset... {6,6}=12 or {6,6,3}=15
         let units = units_of(0, &[6.0, 6.0, 3.0]);
-        let r = optimize_integral(&db, &cfg(), &units);
+        let r = integral(&db, &cfg(), &units);
         assert!(r.feasible);
         let moved: f64 = r.moves.iter().map(|m| units[m.unit].weight).sum();
         assert!(moved >= 10.0, "moved {moved}");
@@ -224,10 +211,11 @@ mod tests {
     fn integral_beta_at_least_continuous() {
         let db = simple();
         let c = cfg();
-        let cont = optimize(&db, &c, SolverBackend::Transportation);
+        let cont =
+            PlacementRequest::new(&db, &c).backend(SolverBackend::Transportation).run_lp().unwrap();
         assert_eq!(cont.status, PlacementStatus::Optimal);
         let units = units_of(0, &[4.0, 4.0, 4.0]);
-        let r = optimize_integral(&db, &c, &units);
+        let r = integral(&db, &c, &units);
         assert!(r.feasible);
         // continuous moves exactly 10; integral must move 12 (3 × 4) at the
         // same per-unit cost → strictly larger beta
@@ -239,7 +227,7 @@ mod tests {
     fn infeasible_when_units_cannot_cover_excess() {
         let db = simple();
         // only 4 points of movable weight but Cs = 10
-        let r = optimize_integral(&db, &cfg(), &units_of(0, &[2.0, 2.0]));
+        let r = integral(&db, &cfg(), &units_of(0, &[2.0, 2.0]));
         assert!(!r.feasible);
     }
 
@@ -248,7 +236,7 @@ mod tests {
         let g = topologies::line(2, Link::default());
         // Cs = 19, Cd = 1: continuous also infeasible
         let db = Nmdb::new(g, vec![NodeState::new(99.0, 10.0), NodeState::new(49.0, 1.0)]);
-        let r = optimize_integral(&db, &cfg(), &units_of(0, &[19.0]));
+        let r = integral(&db, &cfg(), &units_of(0, &[19.0]));
         assert!(!r.feasible);
     }
 
@@ -256,7 +244,7 @@ mod tests {
     fn no_busy_nodes_is_trivially_feasible() {
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(10.0, 1.0), NodeState::new(10.0, 1.0)]);
-        let r = optimize_integral(&db, &cfg(), &units_of(0, &[5.0]));
+        let r = integral(&db, &cfg(), &units_of(0, &[5.0]));
         assert!(r.feasible);
         assert!(r.moves.is_empty());
     }
@@ -269,7 +257,7 @@ mod tests {
             g,
             vec![NodeState::new(90.0, 50.0), NodeState::new(44.0, 1.0), NodeState::new(44.0, 1.0)],
         );
-        let r = optimize_integral(&db, &cfg(), &units_of(0, &[5.0, 5.0]));
+        let r = integral(&db, &cfg(), &units_of(0, &[5.0, 5.0]));
         assert!(r.feasible);
         assert_eq!(r.moves.len(), 2);
         let dests: Vec<NodeId> = r.moves.iter().map(|m| m.to).collect();
@@ -281,7 +269,7 @@ mod tests {
         let db = simple();
         let mut units = units_of(0, &[10.0]);
         units.push(WorkUnit { owner: NodeId(1), weight: 99.0 }); // candidate's own unit
-        let r = optimize_integral(&db, &cfg(), &units);
+        let r = integral(&db, &cfg(), &units);
         assert!(r.feasible);
         assert!(r.moves.iter().all(|m| m.unit == 0), "only the busy node's unit moves");
     }
@@ -296,7 +284,7 @@ mod tests {
         );
         let mut units = units_of(0, &[5.0]);
         units.extend(units_of(2, &[5.0]));
-        let r = optimize_integral(&db, &cfg(), &units);
+        let r = integral(&db, &cfg(), &units);
         assert!(r.feasible);
         assert_eq!(r.moves.len(), 2);
         assert!(r.moves.iter().all(|m| m.to == NodeId(1)));

@@ -18,9 +18,7 @@ use crate::state::Nmdb;
 use dust_lp::{
     Cmp, PartitionWarm, Problem, SolveOptions, Status, TransportProblem, TransportStatus,
 };
-use dust_topology::{
-    min_inv_lu_dp_path, min_inv_lu_enumerated, CostEngine, NodeId, Path, PathEngine,
-};
+use dust_topology::{CostEngine, NodeId, Path};
 use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
@@ -64,8 +62,8 @@ pub enum SolvePath {
 /// the LP's rows/columns, and although a mismatched basis would be
 /// rejected (or re-optimized) safely by MODI anyway, the guard keeps
 /// `lp.pivots_saved` honest. Feed the previous round's
-/// [`Placement::warm`] into [`optimize_with_path_warm`] (or
-/// `PlacementRequest::warm_start`).
+/// [`Placement::warm`] into
+/// [`PlacementRequest::warm_start`](crate::PlacementRequest::warm_start).
 #[derive(Debug, Clone, Default)]
 pub struct WarmState {
     /// Per-group bases (a single slot when the exact path ran).
@@ -156,6 +154,26 @@ pub struct Placement {
 }
 
 impl Placement {
+    /// A round that placed nothing: no assignments, no timings, no warm
+    /// bases. `β` is `0` when there was nothing to do
+    /// ([`PlacementStatus::NoBusyNodes`]) and NaN otherwise.
+    pub fn empty(status: PlacementStatus, busy: Vec<NodeId>, candidates: Vec<NodeId>) -> Self {
+        Placement {
+            status,
+            assignments: Vec::new(),
+            beta: if status == PlacementStatus::NoBusyNodes { 0.0 } else { f64::NAN },
+            busy,
+            candidates,
+            cost_time: Duration::ZERO,
+            solve_time: Duration::ZERO,
+            shadow_prices: Vec::new(),
+            partitions: 1,
+            partition_fallback: false,
+            warm: WarmState::default(),
+            warm_used: false,
+        }
+    }
+
     /// Total optimization time: routing + LP.
     pub fn total_time(&self) -> Duration {
         self.cost_time + self.solve_time
@@ -180,77 +198,21 @@ impl Placement {
     }
 }
 
-/// Run the optimization engine on a snapshot.
-///
-/// Thin wrapper over [`crate::PlacementRequest`] kept for source
-/// compatibility — prefer the builder, which shares one [`CostEngine`]
-/// across entry points and returns typed [`DustError`]s instead of
-/// panicking.
-///
-/// # Panics
-/// Panics when `cfg` is invalid.
-pub fn optimize(nmdb: &Nmdb, cfg: &DustConfig, backend: SolverBackend) -> Placement {
-    cfg.validate().expect("invalid DustConfig");
-    match crate::PlacementRequest::new(nmdb, cfg).backend(backend).run_lp() {
-        Ok(p) => p,
-        // Unbounded cannot occur for well-formed placement instances
-        // (non-negative costs, finite supplies); fold it into the
-        // infeasible outcome the legacy status enum can express.
-        Err(_) => Placement {
-            status: PlacementStatus::Infeasible,
-            assignments: Vec::new(),
-            beta: f64::NAN,
-            busy: nmdb.busy_nodes(cfg),
-            candidates: nmdb.candidate_nodes(cfg),
-            cost_time: Duration::ZERO,
-            solve_time: Duration::ZERO,
-            shadow_prices: Vec::new(),
-            partitions: 1,
-            partition_fallback: false,
-            warm: WarmState::default(),
-            warm_used: false,
-        },
-    }
-}
-
-/// Run the optimization engine with an explicit shared [`CostEngine`].
+/// The exact LP placement behind [`PlacementRequest::run_lp`].
 ///
 /// This is the paper's "ILP" (continuous `x_ij`, Eq. 3) solved exactly.
 /// The `T_rmin` matrix comes from `engine` — parallel across its worker
-/// threads and memoized across calls on an unchanged graph. Routes for
+/// threads and memoized across calls on an unchanged graph; routes for
 /// chosen assignments are reconstructed with the same path engine that
-/// produced the costs.
-pub fn optimize_with(
-    nmdb: &Nmdb,
-    cfg: &DustConfig,
-    backend: SolverBackend,
-    engine: &CostEngine,
-) -> Result<Placement, DustError> {
-    optimize_with_path(nmdb, cfg, backend, engine, SolvePath::Exact)
-}
-
-/// [`optimize_with`], plus the [`SolvePath`] choice: `Exact` reproduces
-/// the whole-problem solve bit for bit; `Partitioned` trades a bounded
-/// slice of objective quality for a large latency cut at fleet scale.
-/// Partitioning applies to the transportation backend only — combining it
-/// with [`SolverBackend::Simplex`] is a [`DustError::BadConfig`].
-pub fn optimize_with_path(
-    nmdb: &Nmdb,
-    cfg: &DustConfig,
-    backend: SolverBackend,
-    engine: &CostEngine,
-    path: SolvePath,
-) -> Result<Placement, DustError> {
-    optimize_with_path_warm(nmdb, cfg, backend, engine, path, None)
-}
-
-/// [`optimize_with_path`], plus warm-start bases from a previous round
-/// ([`Placement::warm`]). Warm and cold solves reach the same objective —
-/// the bases only skip the initial-assignment phase and most pivots when
-/// the instance drifted little. Ignored (solved cold) when the
-/// busy/candidate sets no longer match, when the bases are empty, or for
-/// the simplex backend.
-pub fn optimize_with_path_warm(
+/// produced the costs. `Exact` is the whole-problem solve; `Partitioned`
+/// trades a bounded slice of objective quality for a large latency cut
+/// and requires the transportation backend. `warm` bases from a previous
+/// round ([`Placement::warm`]) reach the same objective with fewer pivots;
+/// they are ignored (solved cold) when the busy/candidate sets no longer
+/// match, when they are empty, or for the simplex backend.
+///
+/// [`PlacementRequest::run_lp`]: crate::PlacementRequest::run_lp
+pub(crate) fn solve(
     nmdb: &Nmdb,
     cfg: &DustConfig,
     backend: SolverBackend,
@@ -275,20 +237,7 @@ pub fn optimize_with_path_warm(
     let candidates = nmdb.candidate_nodes(cfg);
     if busy.is_empty() {
         obs.counter_inc("core.placements_no_busy");
-        return Ok(Placement {
-            status: PlacementStatus::NoBusyNodes,
-            assignments: Vec::new(),
-            beta: 0.0,
-            busy,
-            candidates,
-            cost_time: Duration::ZERO,
-            solve_time: Duration::ZERO,
-            shadow_prices: Vec::new(),
-            partitions: 1,
-            partition_fallback: false,
-            warm: WarmState::default(),
-            warm_used: false,
-        });
+        return Ok(Placement::empty(PlacementStatus::NoBusyNodes, busy, candidates));
     }
 
     // ---- T_rmin matrix over controllable routes ---------------------------
@@ -401,18 +350,12 @@ pub fn optimize_with_path_warm(
     let Some((flow, beta)) = flows else {
         obs.counter_inc("core.placements_infeasible");
         return Ok(Placement {
-            status: PlacementStatus::Infeasible,
-            assignments: Vec::new(),
-            beta: f64::NAN,
-            busy,
-            candidates,
             cost_time,
             solve_time,
-            shadow_prices: Vec::new(),
             partitions,
             partition_fallback,
-            warm: WarmState::default(),
             warm_used,
+            ..Placement::empty(PlacementStatus::Infeasible, busy, candidates)
         });
     };
 
@@ -423,14 +366,7 @@ pub fn optimize_with_path_warm(
         for (c, &o) in candidates.iter().enumerate() {
             let x = flow[r * candidates.len() + c];
             if x > FLOW_TOL {
-                let route = match cfg.path_engine {
-                    PathEngine::Enumerate => {
-                        min_inv_lu_enumerated(&nmdb.graph, b, o, cfg.max_hop).map(|(_, p)| p)
-                    }
-                    PathEngine::HopBoundedDp => {
-                        min_inv_lu_dp_path(&nmdb.graph, b, o, cfg.max_hop).map(|(_, p)| p)
-                    }
-                };
+                let route = cfg.path_engine.route(&nmdb.graph, b, o, cfg.max_hop);
                 assignments.push(Assignment {
                     from: b,
                     to: o,
@@ -463,10 +399,35 @@ pub fn optimize_with_path_warm(
 mod tests {
     use super::*;
     use crate::state::NodeState;
-    use dust_topology::{topologies, Graph, Link};
+    use crate::PlacementRequest;
+    use dust_topology::{topologies, Graph, Link, PathEngine};
 
     fn cfg() -> DustConfig {
         DustConfig::paper_defaults()
+    }
+
+    /// One exact solve on a fresh engine.
+    fn lp(db: &Nmdb, cfg: &DustConfig, backend: SolverBackend) -> Placement {
+        PlacementRequest::new(db, cfg).backend(backend).run_lp().unwrap()
+    }
+
+    /// One transportation solve on a shared engine along `path`, warm
+    /// when bases are given.
+    fn run(
+        db: &Nmdb,
+        cfg: &DustConfig,
+        engine: &CostEngine,
+        path: SolvePath,
+        warm: Option<&WarmState>,
+    ) -> Placement {
+        let mut req = PlacementRequest::new(db, cfg).engine(engine);
+        if let SolvePath::Partitioned { parts, seed } = path {
+            req = req.partitions(Some(parts)).partition_seed(seed);
+        }
+        if let Some(w) = warm {
+            req = req.warm_start(w);
+        }
+        req.run_lp().unwrap()
     }
 
     /// Line 0-1-2 where node 0 is busy and node 2 is a candidate.
@@ -486,7 +447,7 @@ mod tests {
     fn basic_offload_places_all_excess() {
         let db = simple_nmdb();
         for backend in [SolverBackend::Transportation, SolverBackend::Simplex] {
-            let p = optimize(&db, &cfg(), backend);
+            let p = lp(&db, &cfg(), backend);
             assert_eq!(p.status, PlacementStatus::Optimal, "{backend:?}");
             assert!((p.total_offloaded() - 10.0).abs() < 1e-6);
             assert_eq!(p.assignments.len(), 1);
@@ -500,8 +461,8 @@ mod tests {
     #[test]
     fn backends_agree_on_objective() {
         let db = simple_nmdb();
-        let a = optimize(&db, &cfg(), SolverBackend::Transportation);
-        let b = optimize(&db, &cfg(), SolverBackend::Simplex);
+        let a = lp(&db, &cfg(), SolverBackend::Transportation);
+        let b = lp(&db, &cfg(), SolverBackend::Simplex);
         assert!((a.beta - b.beta).abs() < 1e-6 * (1.0 + a.beta.abs()));
     }
 
@@ -509,7 +470,7 @@ mod tests {
     fn no_busy_nodes_short_circuits() {
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(50.0, 1.0), NodeState::new(50.0, 1.0)]);
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = lp(&db, &cfg(), SolverBackend::Transportation);
         assert_eq!(p.status, PlacementStatus::NoBusyNodes);
     }
 
@@ -518,7 +479,7 @@ mod tests {
         // busy node has 19 points of excess, single candidate only 1 spare
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(99.0, 10.0), NodeState::new(49.0, 1.0)]);
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = lp(&db, &cfg(), SolverBackend::Transportation);
         assert_eq!(p.status, PlacementStatus::Infeasible);
     }
 
@@ -527,10 +488,10 @@ mod tests {
         // candidate exists but is 2 hops away with max_hop = 1
         let db = simple_nmdb();
         let c = cfg().with_max_hop(Some(1));
-        let p = optimize(&db, &c, SolverBackend::Transportation);
+        let p = lp(&db, &c, SolverBackend::Transportation);
         assert_eq!(p.status, PlacementStatus::Infeasible);
         // …and feasible again at 2 hops
-        let p2 = optimize(&db, &cfg().with_max_hop(Some(2)), SolverBackend::Transportation);
+        let p2 = lp(&db, &cfg().with_max_hop(Some(2)), SolverBackend::Transportation);
         assert_eq!(p2.status, PlacementStatus::Optimal);
     }
 
@@ -542,7 +503,7 @@ mod tests {
             g,
             vec![NodeState::new(90.0, 50.0), NodeState::new(44.0, 1.0), NodeState::new(44.0, 1.0)],
         );
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = lp(&db, &cfg(), SolverBackend::Transportation);
         assert_eq!(p.status, PlacementStatus::Optimal);
         assert_eq!(p.assignments.len(), 2, "flexible offloading must split");
         assert!((p.total_offloaded() - 10.0).abs() < 1e-6);
@@ -559,7 +520,7 @@ mod tests {
             g,
             vec![NodeState::new(20.0, 1.0), NodeState::new(85.0, 10.0), NodeState::new(88.0, 10.0)],
         );
-        let p = optimize(&db, &cfg(), SolverBackend::Simplex);
+        let p = lp(&db, &cfg(), SolverBackend::Simplex);
         assert_eq!(p.status, PlacementStatus::Optimal);
         assert!((p.total_offloaded() - (5.0 + 8.0)).abs() < 1e-6);
         assert!(p.assignments.iter().all(|a| a.to == NodeId(0)));
@@ -575,7 +536,7 @@ mod tests {
             g,
             vec![NodeState::new(85.0, 100.0), NodeState::new(10.0, 1.0), NodeState::new(10.0, 1.0)],
         );
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = lp(&db, &cfg(), SolverBackend::Transportation);
         assert_eq!(p.status, PlacementStatus::Optimal);
         assert_eq!(p.assignments.len(), 1);
         assert_eq!(p.assignments[0].to, NodeId(1), "faster route must win");
@@ -584,7 +545,7 @@ mod tests {
     #[test]
     fn beta_equals_sum_of_amount_times_trmin() {
         let db = simple_nmdb();
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = lp(&db, &cfg(), SolverBackend::Transportation);
         let recomputed: f64 = p.assignments.iter().map(|a| a.amount * a.t_rmin).sum();
         assert!((p.beta - recomputed).abs() < 1e-9 * (1.0 + p.beta.abs()));
     }
@@ -592,13 +553,9 @@ mod tests {
     #[test]
     fn engines_produce_same_placement() {
         let db = simple_nmdb();
-        let e =
-            optimize(&db, &cfg().with_engine(PathEngine::Enumerate), SolverBackend::Transportation);
-        let d = optimize(
-            &db,
-            &cfg().with_engine(PathEngine::HopBoundedDp),
-            SolverBackend::Transportation,
-        );
+        let e = lp(&db, &cfg().with_engine(PathEngine::Enumerate), SolverBackend::Transportation);
+        let d =
+            lp(&db, &cfg().with_engine(PathEngine::HopBoundedDp), SolverBackend::Transportation);
         assert_eq!(e.status, d.status);
         assert!((e.beta - d.beta).abs() < 1e-9);
     }
@@ -619,7 +576,7 @@ mod tests {
                 NodeState::new(10.0, 1.0), // spare 40 on the slow route
             ],
         );
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = lp(&db, &cfg(), SolverBackend::Transportation);
         assert_eq!(p.status, PlacementStatus::Optimal);
         let price = |n: u32| {
             p.shadow_prices.iter().find(|(id, _)| *id == NodeId(n)).map(|(_, v)| *v).unwrap()
@@ -630,14 +587,14 @@ mod tests {
             p.shadow_prices
         );
         // simplex backend leaves the field empty
-        let ps = optimize(&db, &cfg(), SolverBackend::Simplex);
+        let ps = lp(&db, &cfg(), SolverBackend::Simplex);
         assert!(ps.shadow_prices.is_empty());
     }
 
     #[test]
     fn mean_hops_reported() {
         let db = simple_nmdb();
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = lp(&db, &cfg(), SolverBackend::Transportation);
         assert_eq!(p.mean_hops(), Some(2.0));
     }
 
@@ -661,15 +618,9 @@ mod tests {
     fn partitioned_k1_matches_exact_bit_for_bit() {
         let db = fat_tree_nmdb(8, 42);
         let engine = CostEngine::sequential();
-        let exact = optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine).unwrap();
-        let part = optimize_with_path(
-            &db,
-            &fat_cfg(),
-            SolverBackend::Transportation,
-            &engine,
-            SolvePath::Partitioned { parts: nz(1), seed: 7 },
-        )
-        .unwrap();
+        let exact = run(&db, &fat_cfg(), &engine, SolvePath::Exact, None);
+        let part =
+            run(&db, &fat_cfg(), &engine, SolvePath::Partitioned { parts: nz(1), seed: 7 }, None);
         assert_eq!(part.partitions, 1);
         assert!(!part.partition_fallback);
         assert_eq!(part.beta.to_bits(), exact.beta.to_bits());
@@ -680,17 +631,16 @@ mod tests {
     fn partitioned_solve_is_feasible_with_bounded_gap() {
         let db = fat_tree_nmdb(8, 3);
         let engine = CostEngine::new();
-        let exact = optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine).unwrap();
+        let exact = run(&db, &fat_cfg(), &engine, SolvePath::Exact, None);
         assert_eq!(exact.status, PlacementStatus::Optimal);
         for k in [2usize, 4] {
-            let part = optimize_with_path(
+            let part = run(
                 &db,
                 &fat_cfg(),
-                SolverBackend::Transportation,
                 &engine,
                 SolvePath::Partitioned { parts: nz(k), seed: 1 },
-            )
-            .unwrap();
+                None,
+            );
             assert_eq!(part.status, PlacementStatus::Optimal, "k={k}");
             assert!((part.total_offloaded() - exact.total_offloaded()).abs() < 1e-6);
             assert!(part.beta >= exact.beta - 1e-9, "partitioned can't beat the optimum");
@@ -707,23 +657,9 @@ mod tests {
     fn partitioned_is_deterministic_for_any_thread_count() {
         let db = fat_tree_nmdb(8, 11);
         let path = SolvePath::Partitioned { parts: nz(4), seed: 5 };
-        let base = optimize_with_path(
-            &db,
-            &fat_cfg(),
-            SolverBackend::Transportation,
-            &CostEngine::sequential(),
-            path,
-        )
-        .unwrap();
+        let base = run(&db, &fat_cfg(), &CostEngine::sequential(), path, None);
         for threads in [2usize, 8] {
-            let p = optimize_with_path(
-                &db,
-                &fat_cfg(),
-                SolverBackend::Transportation,
-                &CostEngine::with_threads(threads),
-                path,
-            )
-            .unwrap();
+            let p = run(&db, &fat_cfg(), &CostEngine::with_threads(threads), path, None);
             assert_eq!(p.beta.to_bits(), base.beta.to_bits(), "threads {threads}");
             assert_eq!(p.assignments.len(), base.assignments.len());
         }
@@ -732,14 +668,13 @@ mod tests {
     #[test]
     fn partitioned_k_beyond_busy_count_still_places_everything() {
         let db = simple_nmdb(); // exactly one busy node
-        let part = optimize_with_path(
+        let part = run(
             &db,
             &cfg(),
-            SolverBackend::Transportation,
             &CostEngine::new(),
             SolvePath::Partitioned { parts: nz(64), seed: 0 },
-        )
-        .unwrap();
+            None,
+        );
         assert_eq!(part.status, PlacementStatus::Optimal);
         assert!((part.total_offloaded() - 10.0).abs() < 1e-6);
     }
@@ -747,14 +682,11 @@ mod tests {
     #[test]
     fn partitioned_simplex_is_a_bad_config() {
         let db = simple_nmdb();
-        let err = optimize_with_path(
-            &db,
-            &cfg(),
-            SolverBackend::Simplex,
-            &CostEngine::new(),
-            SolvePath::Partitioned { parts: nz(4), seed: 0 },
-        )
-        .unwrap_err();
+        let err = PlacementRequest::new(&db, &cfg())
+            .backend(SolverBackend::Simplex)
+            .partitions(Some(nz(4)))
+            .run_lp()
+            .unwrap_err();
         assert!(matches!(err, DustError::BadConfig(_)));
     }
 
@@ -802,35 +734,13 @@ mod tests {
                 let engine = CostEngine::new();
                 for k in [1usize, 4] {
                     let path = SolvePath::Partitioned { parts: nz(k), seed: 9 };
-                    let first = optimize_with_path(
-                        &base,
-                        &fat_cfg(),
-                        SolverBackend::Transportation,
-                        &engine,
-                        path,
-                    )
-                    .unwrap();
+                    let first = run(&base, &fat_cfg(), &engine, path, None);
                     if first.status != PlacementStatus::Optimal {
                         continue;
                     }
                     let next = drifted(&base, seed.wrapping_mul(2654435761).wrapping_add(k as u64));
-                    let cold = optimize_with_path(
-                        &next,
-                        &fat_cfg(),
-                        SolverBackend::Transportation,
-                        &engine,
-                        path,
-                    )
-                    .unwrap();
-                    let warm = optimize_with_path_warm(
-                        &next,
-                        &fat_cfg(),
-                        SolverBackend::Transportation,
-                        &engine,
-                        path,
-                        Some(&first.warm),
-                    )
-                    .unwrap();
+                    let cold = run(&next, &fat_cfg(), &engine, path, None);
+                    let warm = run(&next, &fat_cfg(), &engine, path, Some(&first.warm));
                     assert_eq!(cold.status, warm.status, "topo={topo} seed={seed} k={k}");
                     if cold.status == PlacementStatus::Optimal {
                         assert!(
@@ -854,18 +764,10 @@ mod tests {
         let db = fat_tree_nmdb(8, 42);
         let obs = dust_obs::ObsHandle::recording(0);
         let engine = CostEngine::new().with_obs(obs.clone());
-        let first = optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine).unwrap();
+        let first = run(&db, &fat_cfg(), &engine, SolvePath::Exact, None);
         assert_eq!(first.status, PlacementStatus::Optimal);
         assert!(!first.warm.is_empty(), "optimal transportation rounds must export bases");
-        let warm = optimize_with_path_warm(
-            &db,
-            &fat_cfg(),
-            SolverBackend::Transportation,
-            &engine,
-            SolvePath::Exact,
-            Some(&first.warm),
-        )
-        .unwrap();
+        let warm = run(&db, &fat_cfg(), &engine, SolvePath::Exact, Some(&first.warm));
         assert!(warm.warm_used);
         // flows are re-derived from the basis by leaf-peeling, so the sum
         // may round differently — equality is mathematical, not bitwise
@@ -882,24 +784,12 @@ mod tests {
         let obs = dust_obs::ObsHandle::recording(0);
         let engine = CostEngine::new().with_obs(obs.clone());
         let path = SolvePath::Partitioned { parts: nz(4), seed: 3 };
-        let first =
-            optimize_with_path(&db, &fat_cfg(), SolverBackend::Transportation, &engine, path)
-                .unwrap();
+        let first = run(&db, &fat_cfg(), &engine, path, None);
         assert_eq!(first.status, PlacementStatus::Optimal);
         let next = drifted(&db, 5);
         let saved_before = obs.counter("lp.pivots_saved");
-        let warm = optimize_with_path_warm(
-            &next,
-            &fat_cfg(),
-            SolverBackend::Transportation,
-            &engine,
-            path,
-            Some(&first.warm),
-        )
-        .unwrap();
-        let cold =
-            optimize_with_path(&next, &fat_cfg(), SolverBackend::Transportation, &engine, path)
-                .unwrap();
+        let warm = run(&next, &fat_cfg(), &engine, path, Some(&first.warm));
+        let cold = run(&next, &fat_cfg(), &engine, path, None);
         if !first.partition_fallback && !warm.partition_fallback {
             assert!(warm.warm_used, "matching per-partition bases must be accepted");
             assert!(obs.counter("lp.pivots_saved") > saved_before);
@@ -916,30 +806,21 @@ mod tests {
     fn warm_bases_are_ignored_when_the_busy_set_changes() {
         let db = fat_tree_nmdb(8, 7);
         let engine = CostEngine::new();
-        let first = optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine).unwrap();
+        let first = run(&db, &fat_cfg(), &engine, SolvePath::Exact, None);
         assert_eq!(first.status, PlacementStatus::Optimal);
         // flip one candidate to busy: the LP's rows/columns reshape, so the
         // stale bases must be ignored, not trusted
         let mut db2 = db.clone();
         let flipped = first.candidates[0];
         db2.state_mut(flipped).utilization = 99.0;
-        let warm = optimize_with_path_warm(
-            &db2,
-            &fat_cfg(),
-            SolverBackend::Transportation,
-            &engine,
-            SolvePath::Exact,
-            Some(&first.warm),
-        )
-        .unwrap();
+        let warm = run(&db2, &fat_cfg(), &engine, SolvePath::Exact, Some(&first.warm));
         assert!(!warm.warm_used);
     }
 
     #[test]
     fn simplex_backend_carries_no_warm_state() {
         let db = simple_nmdb();
-        let engine = CostEngine::new();
-        let p = optimize_with(&db, &cfg(), SolverBackend::Simplex, &engine).unwrap();
+        let p = lp(&db, &cfg(), SolverBackend::Simplex);
         assert_eq!(p.status, PlacementStatus::Optimal);
         assert!(p.warm.is_empty());
         assert!(!p.warm_used);

@@ -26,21 +26,23 @@
 //! assert!((report.total_offloaded() - 12.0).abs() < 1e-6);
 //! ```
 //!
-//! The four historical free functions ([`optimize`](crate::optimize),
-//! [`heuristic`](crate::heuristic()), [`optimize_zoned`](crate::optimize_zoned),
-//! [`optimize_integral`](crate::optimize_integral)) remain as thin wrappers
-//! over this builder.
+//! It is the only way to place: the strategy bodies behind
+//! [`run_lp`](PlacementRequest::run_lp),
+//! [`run_heuristic`](PlacementRequest::run_heuristic),
+//! [`run_zoned`](PlacementRequest::run_zoned) and
+//! [`run_integral`](PlacementRequest::run_integral) are private to the
+//! crate.
 
 use crate::config::DustConfig;
 use crate::error::DustError;
-use crate::heuristic::{heuristic_with, HeuristicOutcome};
-use crate::integral::{optimize_integral_with, IntegralPlacement, WorkUnit};
+use crate::heuristic::HeuristicOutcome;
+use crate::integral::{IntegralPlacement, WorkUnit};
 use crate::optimizer::{
-    optimize_with_path_warm, Assignment, Placement, PlacementStatus, SolvePath, SolverBackend,
-    WarmState,
+    Assignment, Placement, PlacementStatus, SolvePath, SolverBackend, WarmState,
 };
 use crate::state::Nmdb;
-use crate::zoning::{optimize_zoned_with, ZonedPlacement, Zoning};
+use crate::zoning::{ZonedPlacement, Zoning};
+use crate::{heuristic, integral, optimizer, zoning};
 use dust_obs::ObsHandle;
 use dust_topology::{CostEngine, PathEngine};
 use std::num::NonZeroUsize;
@@ -263,7 +265,7 @@ impl<'a> PlacementRequest<'a> {
     /// Run the exact LP regardless of the configured strategy, returning
     /// the full [`Placement`] (including the legacy status enum).
     pub fn run_lp(&self) -> Result<Placement, DustError> {
-        optimize_with_path_warm(
+        optimizer::solve(
             self.nmdb,
             &self.cfg,
             self.backend,
@@ -281,7 +283,7 @@ impl<'a> PlacementRequest<'a> {
             Strategy::Heuristic { hops } => hops,
             _ => 1,
         };
-        heuristic_with(self.nmdb, &self.cfg, hops, self.engine.get())
+        heuristic::solve(self.nmdb, &self.cfg, hops, self.engine.get())
     }
 
     /// Run the zoned placement; requires a zoning set via
@@ -292,7 +294,7 @@ impl<'a> PlacementRequest<'a> {
                 "run_zoned requires a zoning (call .zoned(...) first)".to_string(),
             ));
         };
-        optimize_zoned_with(self.nmdb, &self.cfg, zoning, self.backend, sweep, self.engine.get())
+        zoning::solve(self.nmdb, &self.cfg, zoning, self.backend, sweep, self.engine.get())
     }
 
     /// Run the integral placement; requires units set via
@@ -303,7 +305,7 @@ impl<'a> PlacementRequest<'a> {
                 "run_integral requires work units (call .integral(...) first)".to_string(),
             ));
         };
-        optimize_integral_with(self.nmdb, &self.cfg, units, self.engine.get())
+        integral::solve(self.nmdb, &self.cfg, units, self.engine.get())
     }
 
     /// Distinguish "no route within the hop bound" from a genuine
@@ -439,9 +441,17 @@ mod tests {
     fn builder_defaults_to_lp_and_matches_free_function() {
         let db = simple_nmdb();
         let report = PlacementRequest::new(&db, &cfg()).solve().unwrap();
-        let legacy = crate::optimizer::optimize(&db, &cfg(), SolverBackend::Transportation);
-        assert_eq!(report.beta().to_bits(), legacy.beta.to_bits());
-        assert_eq!(report.assignments().len(), legacy.assignments.len());
+        let direct = optimizer::solve(
+            &db,
+            &cfg(),
+            SolverBackend::Transportation,
+            &CostEngine::new(),
+            SolvePath::Exact,
+            None,
+        )
+        .unwrap();
+        assert_eq!(report.beta().to_bits(), direct.beta.to_bits());
+        assert_eq!(report.assignments().len(), direct.assignments.len());
         assert!(report.as_lp().is_some());
     }
 

@@ -7,8 +7,8 @@
 //! excess with the optimization placing the rest (75.5 %).
 
 use crate::config::DustConfig;
-use crate::heuristic::heuristic;
-use crate::optimizer::{optimize, PlacementStatus, SolverBackend};
+use crate::optimizer::PlacementStatus;
+use crate::request::PlacementRequest;
 use crate::state::Nmdb;
 
 /// Bucket for one iteration's heuristic-vs-optimization comparison.
@@ -72,14 +72,17 @@ impl SuccessTally {
 }
 
 /// Classify one network state by running both algorithms on it.
+///
+/// # Panics
+/// Panics when `cfg` is invalid.
 pub fn classify_iteration(nmdb: &Nmdb, cfg: &DustConfig) -> SuccessClass {
-    let opt = optimize(nmdb, cfg, SolverBackend::Transportation);
-    match opt.status {
+    let req = PlacementRequest::new(nmdb, cfg);
+    match req.run_lp().expect("invalid DustConfig").status {
         PlacementStatus::NoBusyNodes => return SuccessClass::NoBusyNodes,
         PlacementStatus::Infeasible => return SuccessClass::OptimizationInfeasible,
         PlacementStatus::Optimal => {}
     }
-    let h = heuristic(nmdb, cfg);
+    let h = req.run_heuristic().expect("config validated by the LP solve");
     if h.fully_offloaded() {
         SuccessClass::HeuristicFull
     } else if h.nothing_offloaded() {

@@ -13,7 +13,8 @@
 
 use crate::config::DustConfig;
 use crate::error::DustError;
-use crate::optimizer::{optimize_with, Assignment, PlacementStatus, SolverBackend};
+use crate::optimizer::{Assignment, PlacementStatus, SolverBackend};
+use crate::request::PlacementRequest;
 use crate::state::{Nmdb, NodeState};
 use dust_topology::{CostEngine, FatTree, Graph, NodeId};
 use std::time::{Duration, Instant};
@@ -151,35 +152,20 @@ impl ZonedPlacement {
     }
 }
 
-/// Run the exact placement independently inside every zone, then (if
-/// `cross_zone_sweep`) place the leftovers with one global ILP restricted
-/// to residual busy nodes and leftover candidate capacity.
+/// The zoned placement behind
+/// [`PlacementRequest::run_zoned`](crate::PlacementRequest::run_zoned):
+/// the exact placement independently inside every zone, then (if
+/// `cross_zone_sweep`) one global solve restricted to residual busy nodes
+/// and leftover candidate capacity.
 ///
 /// Every zone solve sees the *full* graph for routing (relay through
 /// foreign nodes is free per the paper's zero-relay-cost assumption) but
 /// only its own zone's busy/candidate sets — the |V_b|·|V_o| cost term
-/// that dominates (§IV-D) shrinks quadratically with zoning.
-pub fn optimize_zoned(
-    nmdb: &Nmdb,
-    cfg: &DustConfig,
-    zoning: &Zoning,
-    backend: SolverBackend,
-    cross_zone_sweep: bool,
-) -> ZonedPlacement {
-    cfg.validate().expect("invalid DustConfig");
-    crate::PlacementRequest::new(nmdb, cfg)
-        .backend(backend)
-        .zoned(zoning, cross_zone_sweep)
-        .run_zoned()
-        .expect("config validated above; placement LPs are never unbounded")
-}
-
-/// Zoned placement with an explicit shared [`CostEngine`].
-///
-/// All zone solves (and the sweep) price rows through `engine`; masked
-/// per-zone snapshots clone the graph, which shares the epoch stamp, so a
-/// Busy row priced in one zone solve is a cache hit in the sweep.
-pub fn optimize_zoned_with(
+/// that dominates (§IV-D) shrinks quadratically with zoning. All zone
+/// solves (and the sweep) price rows through `engine`; masked per-zone
+/// snapshots clone the graph, which shares the epoch stamp, so a Busy row
+/// priced in one zone solve is a cache hit in the sweep.
+pub(crate) fn solve(
     nmdb: &Nmdb,
     cfg: &DustConfig,
     zoning: &Zoning,
@@ -220,7 +206,7 @@ pub fn optimize_zoned_with(
         active_zones += 1;
 
         let t = Instant::now();
-        let p = optimize_with(&masked, cfg, backend, engine)?;
+        let p = PlacementRequest::new(&masked, cfg).backend(backend).engine(engine).run_lp()?;
         let dt = t.elapsed();
         max_zone_time = max_zone_time.max(dt);
         total_time += dt;
@@ -267,7 +253,7 @@ pub fn optimize_zoned_with(
             .collect();
         let sweep_db = Nmdb::new(nmdb.graph.clone(), sweep_states);
         let t = Instant::now();
-        let p = optimize_with(&sweep_db, cfg, backend, engine)?;
+        let p = PlacementRequest::new(&sweep_db, cfg).backend(backend).engine(engine).run_lp()?;
         let dt = t.elapsed();
         max_zone_time = max_zone_time.max(dt);
         total_time += dt;
@@ -296,12 +282,20 @@ pub fn optimize_zoned_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::optimize;
+    use crate::optimizer::Placement;
     use crate::scenario::{random_nmdb, ScenarioParams};
     use dust_topology::{topologies, Link, PathEngine};
 
     fn cfg() -> DustConfig {
         DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp)
+    }
+
+    fn exact(nmdb: &Nmdb, cfg: &DustConfig) -> Placement {
+        PlacementRequest::new(nmdb, cfg).run_lp().unwrap()
+    }
+
+    fn per_zone(nmdb: &Nmdb, cfg: &DustConfig, zoning: &Zoning, sweep: bool) -> ZonedPlacement {
+        PlacementRequest::new(nmdb, cfg).zoned(zoning, sweep).run_zoned().unwrap()
     }
 
     #[test]
@@ -346,8 +340,8 @@ mod tests {
         let c = cfg();
         let nmdb = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), 5);
         let zoning = Zoning::from_membership(vec![0; ft.node_count()]);
-        let global = optimize(&nmdb, &c, SolverBackend::Transportation);
-        let zoned = optimize_zoned(&nmdb, &c, &zoning, SolverBackend::Transportation, false);
+        let global = exact(&nmdb, &c);
+        let zoned = per_zone(&nmdb, &c, &zoning, false);
         if global.status == PlacementStatus::Optimal {
             assert!((zoned.beta - global.beta).abs() < 1e-6 * (1.0 + global.beta.abs()));
             assert!(zoned.final_residual.is_empty());
@@ -364,8 +358,8 @@ mod tests {
         let mut compared = 0;
         for seed in 0..30u64 {
             let nmdb = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-            let global = optimize(&nmdb, &c, SolverBackend::Transportation);
-            let zoned = optimize_zoned(&nmdb, &c, &zoning, SolverBackend::Transportation, false);
+            let global = exact(&nmdb, &c);
+            let zoned = per_zone(&nmdb, &c, &zoning, false);
             if global.status == PlacementStatus::Optimal && zoned.final_residual.is_empty() {
                 assert!(
                     zoned.beta >= global.beta - 1e-6 * (1.0 + global.beta.abs()),
@@ -399,9 +393,9 @@ mod tests {
             })
             .collect();
         let nmdb = Nmdb::new(ft.graph.clone(), states);
-        let without = optimize_zoned(&nmdb, &c, &zoning, SolverBackend::Transportation, false);
+        let without = per_zone(&nmdb, &c, &zoning, false);
         assert!(!without.final_residual.is_empty(), "pod 0 must be unable to place internally");
-        let with = optimize_zoned(&nmdb, &c, &zoning, SolverBackend::Transportation, true);
+        let with = per_zone(&nmdb, &c, &zoning, true);
         assert!(with.final_residual.is_empty(), "sweep must place the leftovers");
         let total_cs = nmdb.total_cs(&c);
         assert_eq!(with.residual_rate_percent(total_cs), 0.0);
@@ -414,7 +408,7 @@ mod tests {
         let c = cfg();
         let zoning = zone_fat_tree(&ft);
         let nmdb = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), 11);
-        let z = optimize_zoned(&nmdb, &c, &zoning, SolverBackend::Transportation, true);
+        let z = per_zone(&nmdb, &c, &zoning, true);
         for n in nmdb.graph.nodes() {
             let got: f64 = z.assignments.iter().filter(|a| a.to == n).map(|a| a.amount).sum();
             assert!(
@@ -441,7 +435,7 @@ mod tests {
         let c = cfg();
         let zoning = zone_fat_tree(&ft);
         let nmdb = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), 3);
-        let z = optimize_zoned(&nmdb, &c, &zoning, SolverBackend::Transportation, false);
+        let z = per_zone(&nmdb, &c, &zoning, false);
         assert!(z.max_zone_time <= z.total_time);
         if z.active_zones > 1 {
             assert!(z.max_zone_time < z.total_time);

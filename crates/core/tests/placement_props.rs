@@ -1,15 +1,24 @@
 //! Seeded random-scenario tests for the placement engine: LP-backend
 //! agreement, optimality dominance over the heuristic, conservation
-//! invariants, and builder/legacy equivalence on random fat-tree states.
+//! invariants, and `solve` / `run_*` equivalence at every thread count on
+//! random fat-tree states.
 
 use dust_core::{
-    heuristic, heuristic_with_hops, optimize, random_nmdb, DustConfig, PlacementRequest,
-    PlacementStatus, ScenarioParams, SolverBackend,
+    random_nmdb, DustConfig, HeuristicOutcome, Nmdb, Placement, PlacementRequest, PlacementStatus,
+    ScenarioParams, SolverBackend,
 };
-use dust_topology::{FatTree, PathEngine, SplitMix64};
+use dust_topology::{FatTree, PathEngine};
 
 fn cfg() -> DustConfig {
     DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp)
+}
+
+fn lp(db: &Nmdb, cfg: &DustConfig, backend: SolverBackend) -> Placement {
+    PlacementRequest::new(db, cfg).backend(backend).run_lp().unwrap()
+}
+
+fn heuristic(db: &Nmdb, cfg: &DustConfig, hops: usize) -> HeuristicOutcome {
+    PlacementRequest::new(db, cfg).heuristic_hops(hops).run_heuristic().unwrap()
 }
 
 /// Both LP backends agree on status and objective for random states.
@@ -19,8 +28,8 @@ fn backends_agree() {
     let c = cfg();
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let a = optimize(&db, &c, SolverBackend::Transportation);
-        let b = optimize(&db, &c, SolverBackend::Simplex);
+        let a = lp(&db, &c, SolverBackend::Transportation);
+        let b = lp(&db, &c, SolverBackend::Simplex);
         assert_eq!(a.status, b.status, "seed {seed}: status must agree");
         if a.status == PlacementStatus::Optimal {
             assert!(
@@ -40,7 +49,7 @@ fn placement_respects_constraints() {
     let c = cfg();
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let p = optimize(&db, &c, SolverBackend::Transportation);
+        let p = lp(&db, &c, SolverBackend::Transportation);
         if p.status != PlacementStatus::Optimal {
             continue;
         }
@@ -82,8 +91,8 @@ fn heuristic_never_beats_optimum() {
     let c = cfg();
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let p = optimize(&db, &c, SolverBackend::Transportation);
-        let h = heuristic(&db, &c);
+        let p = lp(&db, &c, SolverBackend::Transportation);
+        let h = heuristic(&db, &c, 1);
         if p.status == PlacementStatus::Optimal && h.fully_offloaded() && h.total_cs > 0.0 {
             assert!(
                 h.beta >= p.beta - 1e-6 * (1.0 + p.beta.abs()),
@@ -104,7 +113,7 @@ fn hfr_bounds_and_monotonicity() {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
         let mut prev = f64::INFINITY;
         for hops in [1usize, 2, 4, 6] {
-            let h = heuristic_with_hops(&db, &c, hops);
+            let h = heuristic(&db, &c, hops);
             let rate = h.hfr_percent();
             assert!((0.0..=100.0 + 1e-9).contains(&rate), "seed {seed}: HFR {rate} out of range");
             assert!(
@@ -124,7 +133,7 @@ fn heuristic_conservation() {
     let c = cfg();
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let h = heuristic(&db, &c);
+        let h = heuristic(&db, &c, 1);
         let placed: f64 = h.assignments.iter().map(|a| a.amount).sum();
         assert!(
             (placed + h.total_cse - h.total_cs).abs() < 1e-6,
@@ -151,12 +160,12 @@ fn determinism() {
     for seed in 0..24u64 {
         let db1 = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
         let db2 = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let p1 = optimize(&db1, &c, SolverBackend::Transportation);
-        let p2 = optimize(&db2, &c, SolverBackend::Transportation);
+        let p1 = lp(&db1, &c, SolverBackend::Transportation);
+        let p2 = lp(&db2, &c, SolverBackend::Transportation);
         assert_eq!(p1.status, p2.status, "seed {seed}");
         assert_eq!(p1.assignments.len(), p2.assignments.len(), "seed {seed}");
-        let h1 = heuristic(&db1, &c);
-        let h2 = heuristic(&db2, &c);
+        let h1 = heuristic(&db1, &c, 1);
+        let h2 = heuristic(&db2, &c, 1);
         assert!((h1.beta - h2.beta).abs() < 1e-12, "seed {seed}");
     }
 }
@@ -172,7 +181,7 @@ fn beta_monotone_in_max_hop() {
         let mut prev = f64::INFINITY;
         for h in [2usize, 4, 8] {
             let c = base.with_max_hop(Some(h));
-            let p = optimize(&db, &c, SolverBackend::Transportation);
+            let p = lp(&db, &c, SolverBackend::Transportation);
             if p.status == PlacementStatus::Optimal {
                 assert!(
                     p.beta <= prev + 1e-6 * (1.0 + prev.abs()),
@@ -185,29 +194,30 @@ fn beta_monotone_in_max_hop() {
     }
 }
 
-/// The unified builder reproduces the legacy free functions bit-for-bit
-/// at every thread count, for both the LP and the heuristic strategy.
+/// `solve` reproduces `run_lp` / `run_heuristic` on a default engine
+/// bit-for-bit at every thread count, for both the LP and the heuristic
+/// strategy.
 #[test]
 fn builder_matches_legacy_at_every_thread_count() {
     let ft = FatTree::with_default_links(4);
     let c = cfg();
     for seed in 0..12u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let legacy = optimize(&db, &c, SolverBackend::Transportation);
-        let legacy_h = heuristic(&db, &c);
+        let reference = lp(&db, &c, SolverBackend::Transportation);
+        let reference_h = heuristic(&db, &c, 1);
         for threads in [1usize, 2, 7] {
             match PlacementRequest::new(&db, &c).threads(threads).solve() {
                 Ok(report) => {
                     assert_eq!(
                         report.beta().to_bits(),
-                        legacy.beta.to_bits(),
+                        reference.beta.to_bits(),
                         "seed {seed} threads {threads}"
                     );
-                    assert_eq!(report.assignments().len(), legacy.assignments.len());
+                    assert_eq!(report.assignments().len(), reference.assignments.len());
                 }
                 Err(_) => {
                     assert_eq!(
-                        legacy.status,
+                        reference.status,
                         PlacementStatus::Infeasible,
                         "seed {seed} threads {threads}: builder errored on a feasible state"
                     );
@@ -220,55 +230,9 @@ fn builder_matches_legacy_at_every_thread_count() {
                 .expect("heuristic outcomes are data, not errors");
             assert_eq!(
                 h.beta().to_bits(),
-                legacy_h.beta.to_bits(),
+                reference_h.beta.to_bits(),
                 "seed {seed} threads {threads}"
             );
-        }
-    }
-}
-
-use dust_core::{apply_actions, placement_diff, Assignment, TransferAction};
-use dust_topology::NodeId;
-
-/// Random assignment lists with sources 0–5 and destinations 6–11.
-/// Deterministic in `seed`.
-fn arb_assignments(seed: u64) -> Vec<Assignment> {
-    let mut rng = SplitMix64::new(seed);
-    let n = rng.below(10) as usize;
-    (0..n)
-        .map(|_| Assignment {
-            from: NodeId(rng.below(6) as u32),
-            to: NodeId(6 + rng.below(6) as u32),
-            amount: rng.range_f64(0.1, 20.0),
-            t_rmin: 0.1,
-            route: None,
-        })
-        .collect()
-}
-
-/// Applying a diff always reproduces the target placement, and a diff
-/// against self is empty.
-#[test]
-fn diff_is_sound() {
-    for seed in 0..128u64 {
-        let prev = arb_assignments(seed);
-        let next = arb_assignments(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-        let actions = placement_diff(&prev, &next);
-        let applied = apply_actions(&prev, &actions);
-        let mut want = std::collections::BTreeMap::new();
-        for a in &next {
-            *want.entry((a.from, a.to)).or_insert(0.0) += a.amount;
-        }
-        assert_eq!(applied.len(), want.len(), "seed {seed}");
-        for (k, v) in &want {
-            assert!((applied[k] - v).abs() < 1e-9, "seed {seed}");
-        }
-        assert!(placement_diff(&next, &next).is_empty(), "seed {seed}");
-        // ordering invariant: no Start before the last Stop
-        let last_stop = actions.iter().rposition(|a| matches!(a, TransferAction::Stop { .. }));
-        let first_start = actions.iter().position(|a| matches!(a, TransferAction::Start { .. }));
-        if let (Some(stop), Some(start)) = (last_stop, first_start) {
-            assert!(stop < start, "seed {seed}: stops must precede starts");
         }
     }
 }

@@ -35,7 +35,7 @@
 //!     .solve();
 //!
 //! // … and Algorithm 1, with its failure rate
-//! let h = heuristic(&nmdb, &cfg);
+//! let h = PlacementRequest::new(&nmdb, &cfg).heuristic().run_heuristic().unwrap();
 //! assert!(h.hfr_percent() >= 0.0);
 //! # let _ = report;
 //! ```
@@ -53,12 +53,11 @@ pub use dust_topology as topology;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use dust_core::{
-        classify, classify_iteration, estimate_io_rate, heuristic, heuristic_with_hops,
-        io_rate_sweep, optimize, optimize_integral, optimize_zoned, random_nmdb, scenario_stream,
-        zone_by_bfs, zone_fat_tree, Assignment, DustConfig, DustError, HeuristicOutcome,
-        IntegralPlacement, IoRatePoint, Nmdb, NodeState, Placement, PlacementReport,
-        PlacementRequest, PlacementStatus, ReportOutcome, Role, ScenarioParams, SolvePath,
-        SolverBackend, SuccessClass, SuccessTally, WorkUnit, ZonedPlacement, Zoning,
+        classify, classify_iteration, estimate_io_rate, io_rate_sweep, random_nmdb,
+        scenario_stream, zone_by_bfs, zone_fat_tree, Assignment, DustConfig, DustError,
+        HeuristicOutcome, IntegralPlacement, IoRatePoint, Nmdb, NodeState, Placement,
+        PlacementReport, PlacementRequest, PlacementStatus, ReportOutcome, Role, ScenarioParams,
+        SolvePath, SolverBackend, SuccessClass, SuccessTally, WorkUnit, ZonedPlacement, Zoning,
     };
     pub use dust_obs::{
         build_spans, FlightRecorder, FlowId, Histogram, MetricsRegistry, ObsHandle, SloBreach,
@@ -78,8 +77,7 @@ pub mod prelude {
         TelemetryFlow, TrafficModel, Transport,
     };
     pub use dust_telemetry::{
-        aggregate_load, compress, decompress, AgentKind, Alert, Comparison, Federation,
-        MonitorAgent, Rule, RuleEngine, Series, Tsdb,
+        aggregate_load, compress, decompress, AgentKind, Federation, MonitorAgent, Series, Tsdb,
     };
     pub use dust_topology::{
         paper_sizes, CostEngine, CostMatrix, FatTree, Graph, Link, NodeId, Path, PathEngine,

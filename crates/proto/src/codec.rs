@@ -72,6 +72,11 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn u8(&mut self) -> Result<u8, CodecError> {
         let b = *self.buf.get(self.pos).ok_or(CodecError::Truncated)?;
         self.pos += 1;
@@ -140,6 +145,10 @@ fn read_route(r: &mut Reader<'_>) -> Result<Option<Path>, CodecError> {
     }
     if n > 1_000_000 {
         return Err(CodecError::Malformed("absurd route length"));
+    }
+    // every node id takes at least one byte: reject before reserving
+    if n > r.remaining() {
+        return Err(CodecError::Malformed("route longer than its frame"));
     }
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {

@@ -19,17 +19,15 @@
 
 use crate::messages::{ClientMsg, Envelope, ManagerMsg, RequestId};
 use dust_core::{
-    optimize_with_path_warm, Assignment, DustConfig, DustError, Nmdb, NodeState, Placement,
-    PlacementStatus, SolvePath, SolverBackend, WarmState,
+    Assignment, DustConfig, DustError, Nmdb, NodeState, Placement, PlacementRequest,
+    PlacementStatus, SolverBackend, WarmState,
 };
 use dust_lp::{SolveOptions, TransportProblem, TransportStatus};
 use dust_obs::{ObsHandle, TraceEvent};
-use dust_topology::{
-    min_inv_lu_dp_path, min_inv_lu_enumerated, CostEngine, Graph, NodeId, Path, PathEngine,
-};
+use dust_topology::{min_inv_lu_dp_path, CostEngine, Graph, NodeId, Path};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What the Manager knows about one registered client.
 #[derive(Debug, Clone, Copy)]
@@ -521,30 +519,16 @@ impl Manager {
     /// The whole-fleet solve (warm-started when enabled) plus offer
     /// fan-out — the classic placement round.
     fn full_round(&mut self, now_ms: u64, nmdb: &Nmdb) -> (Placement, Vec<Envelope<ManagerMsg>>) {
-        let warm = if self.warm_enabled && !self.warm.is_empty() { Some(&self.warm) } else { None };
+        let mut req =
+            PlacementRequest::new(nmdb, &self.cfg).backend(self.backend).engine(&self.engine);
+        if self.warm_enabled && !self.warm.is_empty() {
+            req = req.warm_start(&self.warm);
+        }
         // Unbounded cannot occur for well-formed placement instances;
-        // fold it into the infeasible outcome like `dust_core::optimize`.
-        let placement = optimize_with_path_warm(
-            nmdb,
-            &self.cfg,
-            self.backend,
-            &self.engine,
-            SolvePath::Exact,
-            warm,
-        )
-        .unwrap_or_else(|_| Placement {
-            status: PlacementStatus::Infeasible,
-            assignments: Vec::new(),
-            beta: f64::NAN,
-            busy: nmdb.busy_nodes(&self.cfg),
-            candidates: nmdb.candidate_nodes(&self.cfg),
-            cost_time: Duration::ZERO,
-            solve_time: Duration::ZERO,
-            shadow_prices: Vec::new(),
-            partitions: 1,
-            partition_fallback: false,
-            warm: WarmState::default(),
-            warm_used: false,
+        // fold it into the infeasible outcome.
+        let placement = req.run_lp().unwrap_or_else(|_| {
+            let (busy, candidates) = (nmdb.busy_nodes(&self.cfg), nmdb.candidate_nodes(&self.cfg));
+            Placement::empty(PlacementStatus::Infeasible, busy, candidates)
         });
         if self.warm_enabled && placement.status == PlacementStatus::Optimal {
             self.warm = placement.warm.clone();
@@ -718,16 +702,8 @@ impl Manager {
                 for (c, x) in pieces {
                     let to = candidates[c];
                     let t_rmin = costs.at(row_of[&h.from], c);
-                    let route = match self.cfg.path_engine {
-                        PathEngine::Enumerate => {
-                            min_inv_lu_enumerated(&nmdb.graph, h.from, to, self.cfg.max_hop)
-                                .map(|(_, p)| p)
-                        }
-                        PathEngine::HopBoundedDp => {
-                            min_inv_lu_dp_path(&nmdb.graph, h.from, to, self.cfg.max_hop)
-                                .map(|(_, p)| p)
-                        }
-                    };
+                    let route =
+                        self.cfg.path_engine.route(&nmdb.graph, h.from, to, self.cfg.max_hop);
                     beta += x * t_rmin;
                     rehomes.push((req, Assignment { from: h.from, to, amount: x, t_rmin, route }));
                 }
@@ -815,18 +791,11 @@ impl Manager {
         }
 
         let placement = Placement {
-            status: PlacementStatus::Optimal,
             assignments,
             beta,
-            busy,
-            candidates,
             cost_time,
             solve_time,
-            shadow_prices: Vec::new(),
-            partitions: 1,
-            partition_fallback: false,
-            warm: WarmState::default(),
-            warm_used: false,
+            ..Placement::empty(PlacementStatus::Optimal, busy, candidates)
         };
         Some((placement, out))
     }

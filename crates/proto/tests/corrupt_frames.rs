@@ -6,8 +6,8 @@
 
 use dust_core::{DustConfig, SolverBackend};
 use dust_proto::{
-    decode_client, decode_manager, encode_client, encode_manager, Client, ClientMsg, Manager,
-    ManagerMsg, RequestId,
+    decode_client, decode_manager, encode_client, encode_manager, Client, ClientMsg, CodecError,
+    Manager, ManagerMsg, RequestId,
 };
 use dust_topology::{topologies, EdgeId, Link, NodeId, Path, SplitMix64};
 
@@ -201,4 +201,24 @@ fn client_survives_decoded_garbage() {
             assert!(c.hosted_amount() >= 0.0, "seed {seed}");
         }
     }
+}
+
+/// A route header claiming more node ids than the frame has bytes left is
+/// rejected as malformed before anything is reserved for it.
+#[test]
+fn route_count_beyond_frame_is_malformed() {
+    let rep = ManagerMsg::Rep {
+        request: RequestId(7),
+        failed: NodeId(4),
+        from: NodeId(1),
+        amount: 3.0,
+        data_mb: 42.5,
+        route: None,
+    };
+    let mut frame = encode_manager(&rep);
+    // swap the empty route's zero count for the varint 1 000 000: three
+    // bytes of route header with nothing after them
+    assert_eq!(frame.pop(), Some(0));
+    frame.extend_from_slice(&[0xC0, 0x84, 0x3D]);
+    assert_eq!(decode_manager(&frame), Err(CodecError::Malformed("route longer than its frame")));
 }

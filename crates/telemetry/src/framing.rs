@@ -117,16 +117,17 @@ pub fn deframe(buf: &[u8]) -> Result<(CompressedBlock, usize), FrameError> {
     let count = read_varint(buf, &mut pos).ok_or(FrameError::BadHeader)? as usize;
     let len = read_varint(buf, &mut pos).ok_or(FrameError::BadHeader)? as usize;
     let end = pos.checked_add(len).ok_or(FrameError::BadHeader)?;
-    if buf.len() < end + 4 {
+    let frame_end = end.checked_add(4).ok_or(FrameError::BadHeader)?;
+    if buf.len() < frame_end {
         return Err(FrameError::Truncated);
     }
     let payload = &buf[pos..end];
-    let expected = u32::from_le_bytes(buf[end..end + 4].try_into().expect("4 bytes checked"));
+    let expected = u32::from_le_bytes(buf[end..frame_end].try_into().expect("4 bytes checked"));
     let actual = crc32(&buf[MAGIC.len()..end]);
     if expected != actual {
         return Err(FrameError::BadChecksum { expected, actual });
     }
-    Ok((CompressedBlock { count, bytes: payload.to_vec() }, end + 4))
+    Ok((CompressedBlock { count, bytes: payload.to_vec() }, frame_end))
 }
 
 /// Split a buffer of concatenated frames into blocks, stopping at the

@@ -32,17 +32,13 @@
 #![warn(missing_docs)]
 
 pub mod agents;
-pub mod anomaly;
 pub mod compress;
 pub mod federation;
 pub mod framing;
-pub mod rules;
 pub mod tsdb;
 
 pub use agents::{aggregate_load, AgentKind, AgentLoad, IntSampler, IntSampling, MonitorAgent};
-pub use anomaly::{EwmaDetector, TrendForecaster};
 pub use compress::{compress, compression_ratio, decompress, CompressedBlock};
 pub use federation::{Aggregation, Federation};
 pub use framing::{crc32, deframe, deframe_stream, frame, FrameError};
-pub use rules::{Alert, Comparison, Rule, RuleEngine};
 pub use tsdb::{Point, Series, Tsdb};

@@ -181,4 +181,17 @@ fn deframe_is_total() {
         let _ = deframe(&bytes);
         let _ = dust_telemetry::deframe_stream(&bytes);
     }
+    // magic, count 0, a payload length of u64::MAX - 16 and 8 zero bytes:
+    // the frame end lands just below u64::MAX, so its CRC offset overflows
+    let mut crafted = b"DTF1\0".to_vec();
+    let mut len = u64::MAX - 16;
+    while len >= 0x80 {
+        crafted.push(len as u8 | 0x80);
+        len >>= 7;
+    }
+    crafted.push(len as u8);
+    crafted.extend_from_slice(&[0; 8]);
+    assert_eq!(crafted.len(), 23);
+    assert!(deframe(&crafted).is_err());
+    assert!(dust_telemetry::deframe_stream(&crafted).0.is_empty());
 }

@@ -7,7 +7,9 @@
 //! volume `D_i` in megabits.
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::paths::{min_inv_lu_dp_from, min_inv_lu_enumerated_from};
+use crate::paths::{
+    min_inv_lu_dp_from, min_inv_lu_dp_path, min_inv_lu_enumerated, min_inv_lu_enumerated_from, Path,
+};
 use dust_obs::{ObsHandle, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -22,6 +24,26 @@ pub enum PathEngine {
     Enumerate,
     /// Hop-bounded Bellman–Ford — same optimum in `O(max_hop · |E|)`.
     HopBoundedDp,
+}
+
+impl PathEngine {
+    /// The minimum-`Σ 1/Lu` route from `src` to `dst` within `max_hop`
+    /// hops, found by this engine — the path behind a [`CostEngine`] row
+    /// entry, so `d_mb · route.inv_lu(g)` is that pair's `T_rmin`. `None`
+    /// when `dst` is unreachable within the bound.
+    pub fn route(
+        self,
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        max_hop: Option<usize>,
+    ) -> Option<Path> {
+        let found = match self {
+            PathEngine::Enumerate => min_inv_lu_enumerated(g, src, dst, max_hop),
+            PathEngine::HopBoundedDp => min_inv_lu_dp_path(g, src, dst, max_hop),
+        };
+        found.map(|(_, path)| path)
+    }
 }
 
 /// Dense `|V_b| × |V_o|` matrix of minimum response times (seconds).

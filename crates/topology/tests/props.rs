@@ -177,42 +177,39 @@ fn bfs_distance_is_metric_over_edges() {
     }
 }
 
-/// Yen's k-shortest paths agree with sorted exhaustive enumeration on
-/// random graphs, for every k and hop bound.
+/// `PathEngine::route` returns the path behind each `CostEngine` matrix
+/// entry, for both engines and several hop bounds: it runs from source to
+/// destination within the hop bound, its `inv_lu × D_i` equals the entry
+/// to 1e-12 relative, and it exists whenever the entry is finite.
 #[test]
-fn ksp_matches_sorted_enumeration() {
-    use dust_topology::k_shortest_paths;
+fn route_prices_its_cost_matrix_entry() {
     for seed in 0..48u64 {
         let g = arb_graph(seed);
-        let max_hop = 2 + (seed % 4) as usize;
-        let k = 1 + (seed % 5) as usize;
-        let src = NodeId(0);
-        let dst = NodeId(g.node_count() as u32 - 1);
-        let mut expect: Vec<f64> = enumerate_simple_paths(&g, src, dst, Some(max_hop))
-            .iter()
-            .map(|p| p.inv_lu(&g))
-            .filter(|c| c.is_finite())
-            .collect();
-        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        expect.truncate(k);
-        let got = k_shortest_paths(&g, src, dst, k, Some(max_hop));
-        // infinite-cost (zero-Lu) routes may be ranked differently; only
-        // compare the finite regime
-        let got_finite: Vec<f64> = got.iter().map(|(c, _)| *c).filter(|c| c.is_finite()).collect();
-        assert_eq!(
-            got_finite.len(),
-            expect.len(),
-            "seed {seed} k={k} hop={max_hop}: {} vs {}",
-            got_finite.len(),
-            expect.len()
-        );
-        for (i, (a, b)) in got_finite.iter().zip(&expect).enumerate() {
-            assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "seed {seed} rank {i}: {a} vs {b}");
-        }
-        // structural sanity
-        for (c, p) in &got {
-            assert!(p.hops() <= max_hop);
-            assert!((p.inv_lu(&g) - c).abs() <= 1e-9 * (1.0 + c.abs()) || c.is_infinite());
+        let mut rng = SplitMix64::new(seed ^ 0x5eed);
+        let nodes: Vec<NodeId> = g.nodes().collect();
+        let data: Vec<f64> = nodes.iter().map(|_| rng.range_f64(1.0, 500.0)).collect();
+        let costs = CostEngine::sequential();
+        for max_hop in [Some(1), Some(2), Some(4), None] {
+            for engine in [PathEngine::Enumerate, PathEngine::HopBoundedDp] {
+                let m = costs.build_matrix(&g, &nodes, &nodes, &data, max_hop, engine);
+                for (r, &src) in nodes.iter().enumerate() {
+                    for (c, &dst) in nodes.iter().enumerate() {
+                        let (entry, route) = (m.at(r, c), engine.route(&g, src, dst, max_hop));
+                        if src == dst || !entry.is_finite() {
+                            continue;
+                        }
+                        let at = format!("seed {seed} {engine:?} hop {max_hop:?} {src:?}->{dst:?}");
+                        let p = route.unwrap_or_else(|| panic!("{at}: finite entry without route"));
+                        assert_eq!((p.nodes[0], *p.nodes.last().unwrap()), (src, dst), "{at}");
+                        assert!(max_hop.is_none_or(|h| p.hops() <= h), "{at}: {} hops", p.hops());
+                        let priced = p.inv_lu(&g) * data[r];
+                        assert!(
+                            (priced - entry).abs() <= 1e-12 * entry.abs(),
+                            "{at}: route prices {priced}, matrix holds {entry}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

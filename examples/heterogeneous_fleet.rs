@@ -46,7 +46,7 @@ fn main() {
 
     // Continuous placement: κ = 0.4 servers absorb 2.5x their headroom in
     // source units, so they dominate the solution.
-    let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+    let p = PlacementRequest::new(&nmdb, &cfg).run_lp().expect("valid config");
     println!("\n-- continuous placement ({:?}) --", p.status);
     for a in &p.assignments {
         println!(
@@ -74,7 +74,8 @@ fn main() {
         total,
         nmdb.cs(NodeId(2), &cfg)
     );
-    let r = optimize_integral(&nmdb, &cfg, &units);
+    let r =
+        PlacementRequest::new(&nmdb, &cfg).integral(&units).run_integral().expect("valid units");
     if r.feasible {
         let mut moved = 0.0;
         for m in &r.moves {

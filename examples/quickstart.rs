@@ -30,7 +30,7 @@ fn main() {
         .collect();
     let nmdb = Nmdb::new(graph, states);
 
-    let placement = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+    let placement = PlacementRequest::new(&nmdb, &cfg).run_lp().expect("valid config");
     println!("status: {:?}, beta = {:.6} s·%", placement.status, placement.beta);
     for a in &placement.assignments {
         let route = a.route.as_ref().expect("optimal assignments carry routes");
@@ -56,7 +56,9 @@ fn main() {
         nmdb.candidate_nodes(&cfg).len()
     );
 
-    let exact = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+    // one request, two strategies over the same cost engine
+    let req = PlacementRequest::new(&nmdb, &cfg);
+    let exact = req.run_lp().expect("valid config");
     println!(
         "ILP:        {:?}, beta {:.6}, {} assignments, mean hops {:?}",
         exact.status,
@@ -65,7 +67,7 @@ fn main() {
         exact.mean_hops()
     );
 
-    let h = heuristic(&nmdb, &cfg);
+    let h = req.run_heuristic().expect("valid config");
     println!(
         "heuristic:  placed {:.1} of {:.1} capacity-% one-hop, HFR {:.1}%",
         h.total_cs - h.total_cse,

@@ -43,12 +43,15 @@ fn main() {
             // nodes and runs heuristic-only at 5120 (Fig. 12).
             if k <= 16 {
                 let t = Instant::now();
-                let _ = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+                let _ = PlacementRequest::new(&nmdb, &cfg).run_lp();
                 ilp_ms += t.elapsed().as_secs_f64() * 1e3;
                 ilp_runs += 1;
             }
             let t = Instant::now();
-            let h = heuristic(&nmdb, &cfg);
+            let h = PlacementRequest::new(&nmdb, &cfg)
+                .heuristic()
+                .run_heuristic()
+                .expect("valid config");
             heur_ms += t.elapsed().as_secs_f64() * 1e3;
             hfr += h.hfr_percent();
         }

@@ -46,7 +46,7 @@ fn placement_equals_first_principles_lp() {
         let ft = FatTree::with_default_links(4);
         let cfg = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
         let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-        let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+        let p = PlacementRequest::new(&nmdb, &cfg).run_lp().unwrap();
         let raw = beta_via_raw_lp(&nmdb, &cfg);
         match (p.status, raw) {
             (PlacementStatus::Optimal, Some(beta)) => {
@@ -73,7 +73,7 @@ fn applying_placement_debusies_network() {
         let ft = FatTree::with_default_links(4);
         let cfg = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
         let mut nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-        let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+        let p = PlacementRequest::new(&nmdb, &cfg).run_lp().unwrap();
         if p.status != PlacementStatus::Optimal {
             continue;
         }
@@ -125,7 +125,7 @@ fn manager_snapshot_matches_direct_optimization() {
                 manager.handle(1_000, &m);
             }
         }
-        let direct = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+        let direct = PlacementRequest::new(&nmdb, &cfg).run_lp().unwrap();
         let (via_manager, _) = manager.run_placement(1_001);
         // link utilizations differ (manager snapshot clones the topology as
         // built), so only compare status and totals — the graph is shared.

@@ -8,6 +8,10 @@ fn paper_cfg() -> DustConfig {
     DustConfig::paper_defaults()
 }
 
+fn lp(nmdb: &Nmdb, cfg: &DustConfig, backend: SolverBackend) -> Placement {
+    PlacementRequest::new(nmdb, cfg).backend(backend).run_lp().unwrap()
+}
+
 #[test]
 fn fig4_example_offloads_to_both_candidates_when_needed() {
     // S1 busy with more excess than either candidate alone can take.
@@ -26,7 +30,7 @@ fn fig4_example_offloads_to_both_candidates_when_needed() {
         })
         .collect();
     let nmdb = Nmdb::new(graph, states);
-    let p = optimize(&nmdb, &paper_cfg(), SolverBackend::Transportation);
+    let p = lp(&nmdb, &paper_cfg(), SolverBackend::Transportation);
     assert_eq!(p.status, PlacementStatus::Optimal);
     assert_eq!(p.assignments.len(), 2, "flexible offloading splits across S2 and S6");
     assert!((p.total_offloaded() - 20.0).abs() < 1e-6);
@@ -40,8 +44,8 @@ fn ilp_matches_simplex_on_fat_tree_scenarios() {
     let cfg = paper_cfg().with_engine(PathEngine::HopBoundedDp);
     for seed in 0..10 {
         let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-        let t = optimize(&nmdb, &cfg, SolverBackend::Transportation);
-        let s = optimize(&nmdb, &cfg, SolverBackend::Simplex);
+        let t = lp(&nmdb, &cfg, SolverBackend::Transportation);
+        let s = lp(&nmdb, &cfg, SolverBackend::Simplex);
         assert_eq!(t.status, s.status, "seed {seed}");
         if t.status == PlacementStatus::Optimal {
             assert!(
@@ -61,8 +65,8 @@ fn path_engines_agree_across_whole_placement() {
         let slow = paper_cfg().with_engine(PathEngine::Enumerate).with_max_hop(Some(6));
         let fast = paper_cfg().with_engine(PathEngine::HopBoundedDp).with_max_hop(Some(6));
         let nmdb = random_nmdb(&ft.graph, &slow, &ScenarioParams::default(), seed);
-        let a = optimize(&nmdb, &slow, SolverBackend::Transportation);
-        let b = optimize(&nmdb, &fast, SolverBackend::Transportation);
+        let a = lp(&nmdb, &slow, SolverBackend::Transportation);
+        let b = lp(&nmdb, &fast, SolverBackend::Transportation);
         assert_eq!(a.status, b.status);
         if a.status == PlacementStatus::Optimal {
             assert!((a.beta - b.beta).abs() < 1e-6 * (1.0 + a.beta.abs()));
@@ -131,11 +135,11 @@ fn heuristic_residual_is_placeable_by_ilp() {
     let mut checked = 0;
     for seed in 0..40 {
         let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-        let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+        let p = lp(&nmdb, &cfg, SolverBackend::Transportation);
         if p.status != PlacementStatus::Optimal {
             continue;
         }
-        let h = heuristic(&nmdb, &cfg);
+        let h = PlacementRequest::new(&nmdb, &cfg).run_heuristic().unwrap();
         // total capacity must cover heuristic residual too (it's a subset
         // of what the ILP placed)
         assert!(h.total_cse <= nmdb.total_cd(&cfg) + 1e-6, "seed {seed}");
@@ -160,56 +164,4 @@ fn success_classes_partition_iterations() {
     );
     let (f, p, o) = tally.percentages();
     assert!((f + p + o - 100.0).abs() < 1e-9 || tally.comparable() == 0);
-}
-
-#[test]
-fn forecaster_predicts_overload_before_it_happens() {
-    // "The objective is to detect the potentially overloaded nodes (Busy
-    // node) while the node is not overloaded but efficiently utilized"
-    // (§IV-A): drive the DUT with ramping traffic, feed its CPU series to
-    // the trend forecaster, and check it projects the C_max crossing ahead
-    // of time.
-    use dust::telemetry::TrendForecaster;
-    let (graph, dut) = testbed_topology();
-    // ramp from idle to 20 % line rate over the run
-    let traffic = TrafficModel::Ramp { from: 0.0, to: 0.2, duration_ms: 120_000 };
-    let mut sim = Simulation::builder()
-        .graph(graph)
-        .nodes(dust::sim::scenarios::testbed_nodes(dut))
-        .traffic(traffic)
-        .dust(dust::sim::scenarios::testbed_dust_config())
-        .dust_enabled(false) // observe the undisturbed ramp
-        .duration_ms(120_000)
-        .build()
-        .expect("testbed knobs are consistent");
-    let report = sim.run();
-    let series = report.federation.store(dut).unwrap().series("device-cpu").unwrap();
-    let c_max = 25.0; // the calm reading crosses ~25 % mid-ramp
-    let mut forecaster = TrendForecaster::default_tuning();
-    let mut predicted_at: Option<u64> = None;
-    let mut crossed_at: Option<u64> = None;
-    for p in series.points() {
-        // skip the periodic aggregation-burst windows (30 s cadence, 2 s
-        // long): STAT smoothing would do this in production
-        if p.ts_ms % 30_000 < 2_000 {
-            continue;
-        }
-        forecaster.observe(p.ts_ms, p.value);
-        if crossed_at.is_none() && p.value >= c_max {
-            crossed_at = Some(p.ts_ms);
-        }
-        if predicted_at.is_none() && p.ts_ms > 10_000 {
-            if let Some(eta) = forecaster.ms_until(c_max) {
-                if eta > 0 && eta < 200_000 {
-                    predicted_at = Some(p.ts_ms);
-                }
-            }
-        }
-    }
-    let predicted = predicted_at.expect("forecaster must see the ramp coming");
-    let crossed = crossed_at.expect("the ramp must eventually cross");
-    assert!(
-        predicted + 5_000 < crossed,
-        "prediction at {predicted} ms must lead the crossing at {crossed} ms"
-    );
 }
