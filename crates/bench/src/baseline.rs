@@ -13,10 +13,9 @@
 //! * **Throughput** (`events_per_sec`, `rounds_per_sec`) may regress at
 //!   most `tolerance` (default 20 %) — these are wall-clock numbers and
 //!   inherit machine noise.
-//! * **`speedup_vs_tick`** is the event core's advantage over the tick
-//!   core *measured on the same machine in the same process*, which
-//!   cancels machine speed out of the comparison; it must stay at or
-//!   above the scenario's committed `min_speedup` floor.
+//! * **Same-machine ratios** (`speedup_vs_exact`, `warm_speedup_vs_cold`)
+//!   cancel machine speed out of the comparison; each must stay at or
+//!   above its committed floor.
 //!
 //! The JSON is hand-rolled (the workspace is std-only) with a fixed
 //! field order, so two emits of the same tree on the same machine differ
@@ -29,24 +28,20 @@ pub struct ScenarioPerf {
     pub name: String,
     /// Fleet size (deterministic).
     pub nodes: u64,
-    /// Simulation events processed (deterministic, identical across
-    /// cores — see `SimReport::events_processed`).
+    /// Simulation events processed (deterministic — see
+    /// `SimReport::events_processed`).
     pub events_processed: u64,
     /// Peak pending events in the queue (deterministic allocation-pressure
-    /// proxy for the event core's working set).
+    /// proxy for the event loop's working set).
     pub peak_queue_len: u64,
     /// Total recorded metric points across the federation (deterministic
     /// peak-RSS proxy: the run's dominant retained allocation).
     pub federation_points: u64,
-    /// Event-core throughput, events per wall-clock second.
+    /// Simulation throughput, events per wall-clock second.
     pub events_per_sec: f64,
     /// Placement rounds per wall-clock second (0 when the scenario's
     /// control plane is idle).
     pub rounds_per_sec: f64,
-    /// Event-core over tick-core wall-clock ratio, same machine.
-    pub speedup_vs_tick: f64,
-    /// Committed floor for `speedup_vs_tick` (0 disables the gate).
-    pub min_speedup: f64,
     /// Partitioned-solve objective gap vs the exact optimum, in percent
     /// (0 for scenarios without a partitioned solve).
     pub objective_gap_pct: f64,
@@ -80,7 +75,10 @@ pub struct BenchBaseline {
     pub scenarios: Vec<ScenarioPerf>,
 }
 
-/// Current format version. Version 4 added the warm-start fields
+/// Current format version. Version 5 dropped `speedup_vs_tick` and
+/// `min_speedup` with the tick core they measured against; older
+/// documents that carry them still parse, the two keys ignored. Version
+/// 4 added the warm-start fields
 /// (`warm_speedup_vs_cold`/`min_warm_speedup`). Version 3 added
 /// `phase_self_ms` (per-phase self-time from a profiled run, used to
 /// attribute throughput regressions). Version 2 added the
@@ -88,7 +86,7 @@ pub struct BenchBaseline {
 /// `speedup_vs_exact`/`min_exact_speedup`). Older documents still parse,
 /// with the missing fields defaulting to 0 / empty (gates and
 /// attribution off).
-pub const BASELINE_VERSION: u32 = 4;
+pub const BASELINE_VERSION: u32 = 5;
 
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
@@ -154,8 +152,6 @@ impl BenchBaseline {
             out.push_str(&format!("      \"federation_points\": {},\n", s.federation_points));
             out.push_str(&format!("      \"events_per_sec\": {},\n", fmt_f64(s.events_per_sec)));
             out.push_str(&format!("      \"rounds_per_sec\": {},\n", fmt_f64(s.rounds_per_sec)));
-            out.push_str(&format!("      \"speedup_vs_tick\": {},\n", fmt_f64(s.speedup_vs_tick)));
-            out.push_str(&format!("      \"min_speedup\": {},\n", fmt_f64(s.min_speedup)));
             out.push_str(&format!(
                 "      \"objective_gap_pct\": {},\n",
                 fmt_f64(s.objective_gap_pct)
@@ -209,8 +205,6 @@ impl BenchBaseline {
                         federation_points: 0,
                         events_per_sec: 0.0,
                         rounds_per_sec: 0.0,
-                        speedup_vs_tick: 0.0,
-                        min_speedup: 0.0,
                         objective_gap_pct: 0.0,
                         max_gap_pct: 0.0,
                         speedup_vs_exact: 0.0,
@@ -256,11 +250,9 @@ impl BenchBaseline {
                 ("rounds_per_sec", Some(s)) => {
                     s.rounds_per_sec = value.parse().map_err(|_| err("bad number"))?;
                 }
-                ("speedup_vs_tick", Some(s)) => {
-                    s.speedup_vs_tick = value.parse().map_err(|_| err("bad number"))?;
-                }
-                ("min_speedup", Some(s)) => {
-                    s.min_speedup = value.parse().map_err(|_| err("bad number"))?;
+                // v1–v4 gated the removed tick core; nothing reads these
+                ("speedup_vs_tick" | "min_speedup", Some(_)) => {
+                    value.parse::<f64>().map_err(|_| err("bad number"))?;
                 }
                 ("objective_gap_pct", Some(s)) => {
                     s.objective_gap_pct = value.parse().map_err(|_| err("bad number"))?;
@@ -347,13 +339,6 @@ impl BenchBaseline {
                     ));
                 }
             }
-            if b.min_speedup > 0.0 && c.speedup_vs_tick < b.min_speedup {
-                failures.push(format!(
-                    "{}: event-core speedup vs tick fell below the committed floor: \
-                     {:.2}x < {:.2}x{attribution}",
-                    b.name, c.speedup_vs_tick, b.min_speedup
-                ));
-            }
             if b.max_gap_pct > 0.0 && c.objective_gap_pct > b.max_gap_pct {
                 failures.push(format!(
                     "{}: partitioned objective gap exceeds the committed ceiling: \
@@ -396,8 +381,6 @@ mod tests {
                     federation_points: 2_063_457,
                     events_per_sec: 500_000.0,
                     rounds_per_sec: 0.2,
-                    speedup_vs_tick: 7.0,
-                    min_speedup: 5.0,
                     objective_gap_pct: 0.0,
                     max_gap_pct: 0.0,
                     speedup_vs_exact: 0.0,
@@ -416,8 +399,6 @@ mod tests {
                     federation_points: 2_160,
                     events_per_sec: 90_000.0,
                     rounds_per_sec: 11.0,
-                    speedup_vs_tick: 1.1,
-                    min_speedup: 0.0,
                     objective_gap_pct: 0.0,
                     max_gap_pct: 0.0,
                     speedup_vs_exact: 0.0,
@@ -434,8 +415,6 @@ mod tests {
                     federation_points: 0,
                     events_per_sec: 0.0,
                     rounds_per_sec: 0.4,
-                    speedup_vs_tick: 0.0,
-                    min_speedup: 0.0,
                     objective_gap_pct: 2.1,
                     max_gap_pct: 5.0,
                     speedup_vs_exact: 4.5,
@@ -457,7 +436,6 @@ mod tests {
         assert_eq!(parsed.scenarios[0].name, "scale_fleet_k90");
         assert_eq!(parsed.scenarios[0].events_processed, 121_589);
         assert_eq!(parsed.scenarios[1].rounds_per_sec, 11.0);
-        assert_eq!(parsed.scenarios[0].min_speedup, 5.0);
         assert_eq!(parsed.scenarios[2].objective_gap_pct, 2.1);
         assert_eq!(parsed.scenarios[2].max_gap_pct, 5.0);
         assert_eq!(parsed.scenarios[2].speedup_vs_exact, 4.5);
@@ -572,17 +550,31 @@ mod tests {
     }
 
     #[test]
-    fn speedup_floor_is_enforced() {
-        let b = sample();
-        let mut c = sample();
-        c.scenarios[0].speedup_vs_tick = 4.2;
-        let f = b.compare(&c, 0.2);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].contains("below the committed floor"), "{f:?}");
-        // the ungated scenario may move freely
-        let mut c = sample();
-        c.scenarios[1].speedup_vs_tick = 0.5;
-        assert!(b.compare(&c, 0.2).is_empty());
+    fn version_4_speedup_fields_parse_and_gate_nothing() {
+        // a v4 document carries the tick-core speedup gate after
+        // rounds_per_sec; a candidate below its old floor still passes
+        let v4 = |speedup: &str| -> String {
+            sample()
+                .to_json()
+                .replace("\"version\": 5", "\"version\": 4")
+                .lines()
+                .flat_map(|l| {
+                    let mut out = vec![format!("{l}\n")];
+                    if l.contains("\"rounds_per_sec\"") {
+                        out.push(format!("      \"speedup_vs_tick\": {speedup},\n"));
+                        out.push("      \"min_speedup\": 5.00,\n".into());
+                    }
+                    out
+                })
+                .collect()
+        };
+        let base = BenchBaseline::parse(&v4("16.29")).unwrap();
+        assert_eq!(base.version, 4);
+        assert_eq!(base.scenarios, sample().scenarios, "the two keys are dropped");
+        let cand = BenchBaseline::parse(&v4("1.00")).unwrap();
+        assert!(base.compare(&cand, 0.2).is_empty());
+        let bad = v4("fast");
+        assert!(BenchBaseline::parse(&bad).unwrap_err().contains("bad number"));
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! dust-perf compare --baseline BENCH_seed.json --candidate candidate.json
 //! ```
 //!
-//! `emit` runs each named scenario on both simulation cores and records
-//! deterministic shape fields plus wall-clock throughput and the
-//! event-over-tick speedup (see `dust_bench::baseline` for the format
-//! and the comparison rules). `compare` exits 1 with one line per
+//! `emit` runs each named scenario and records deterministic shape
+//! fields plus wall-clock throughput and same-machine speedup ratios
+//! (see `dust_bench::baseline` for the format and the comparison rules). `compare` exits 1 with one line per
 //! failure; CI runs `emit` on the candidate tree and compares it against
 //! the committed `BENCH_seed.json`.
 
@@ -57,17 +56,14 @@ fn phase_string(obs: &ObsHandle) -> String {
         .join(";")
 }
 
-/// Fastest wall-clock for a fresh run of `mk(engine, …)`, plus the
-/// report of the fastest run. Timing samples run unobserved — the
-/// profiled run happens separately so instrumentation never taxes the
-/// recorded throughput.
-fn best_run(
-    mk: &dyn Fn(EngineKind, ObsHandle) -> Simulation,
-    engine: EngineKind,
-) -> (Duration, SimReport) {
+/// Fastest wall-clock for a fresh run of `mk(…)`, plus the report of
+/// the fastest run. Timing samples run unobserved — the profiled run
+/// happens separately so instrumentation never taxes the recorded
+/// throughput.
+fn best_run(mk: &dyn Fn(ObsHandle) -> Simulation) -> (Duration, SimReport) {
     let mut best: Option<(Duration, SimReport)> = None;
     for _ in 0..SAMPLES {
-        let mut sim = mk(engine, ObsHandle::disabled());
+        let mut sim = mk(ObsHandle::disabled());
         let t = Instant::now();
         let r = sim.run();
         let d = t.elapsed();
@@ -78,24 +74,15 @@ fn best_run(
     best.expect("SAMPLES > 0")
 }
 
-fn measure(
-    name: &str,
-    min_speedup: f64,
-    mk: &dyn Fn(EngineKind, ObsHandle) -> Simulation,
-) -> ScenarioPerf {
+fn measure(name: &str, mk: &dyn Fn(ObsHandle) -> Simulation) -> ScenarioPerf {
     eprintln!("measuring {name} ...");
-    let (event_wall, report) = best_run(mk, EngineKind::Event);
-    let (tick_wall, tick_report) = best_run(mk, EngineKind::Tick);
-    assert_eq!(
-        report.events_processed, tick_report.events_processed,
-        "{name}: cores disagree on event count — determinism bug"
-    );
-    // one extra profiled run on the shipping (event) core attributes the
-    // throughput numbers to phases; its wall-clock is never recorded
+    let (wall, report) = best_run(mk);
+    // one extra profiled run attributes the throughput numbers to
+    // phases; its wall-clock is never recorded
     let obs = ObsHandle::recording(0);
     obs.enable_profiling();
-    let _ = mk(EngineKind::Event, obs.clone()).run();
-    let secs = event_wall.as_secs_f64();
+    let _ = mk(obs.clone()).run();
+    let secs = wall.as_secs_f64();
     ScenarioPerf {
         name: name.to_string(),
         nodes: report.federation.nodes().len() as u64,
@@ -104,8 +91,6 @@ fn measure(
         federation_points: federation_points(&report),
         events_per_sec: report.events_processed as f64 / secs,
         rounds_per_sec: report.placement_rounds as f64 / secs,
-        speedup_vs_tick: tick_wall.as_secs_f64() / secs,
-        min_speedup,
         objective_gap_pct: 0.0,
         max_gap_pct: 0.0,
         speedup_vs_exact: 0.0,
@@ -189,8 +174,6 @@ fn measure_partition(
         federation_points: exact.assignments.len() as u64,
         events_per_sec: 0.0,
         rounds_per_sec: 1.0 / part.solve_time.as_secs_f64().max(1e-9),
-        speedup_vs_tick: 0.0,
-        min_speedup: 0.0,
         objective_gap_pct: gap_pct,
         max_gap_pct,
         speedup_vs_exact: exact.solve_time.as_secs_f64() / part.solve_time.as_secs_f64().max(1e-9),
@@ -315,8 +298,6 @@ fn measure_churn(name: &str, k: usize, rounds: u64, min_warm_speedup: f64) -> Sc
         federation_points: warm_assignments,
         events_per_sec: 0.0,
         rounds_per_sec: rounds as f64 / warm_secs,
-        speedup_vs_tick: 0.0,
-        min_speedup: 0.0,
         objective_gap_pct: 0.0,
         max_gap_pct: 0.0,
         speedup_vs_exact: 0.0,
@@ -328,10 +309,10 @@ fn measure_churn(name: &str, k: usize, rounds: u64, min_warm_speedup: f64) -> Sc
 }
 
 fn emit() -> BenchBaseline {
-    let scale = measure("scale_fleet_k90", 5.0, &|engine, obs| {
-        scale_fleet_sim_on(90, 10_000, 1, obs, engine)
+    let scale = measure("scale_fleet_k90", &|obs| {
+        scale_fleet_sim_on(90, 10_000, 1, obs, EngineKind::Event)
     });
-    let testbed = measure("testbed_offload_60s", 0.0, &|engine, obs| {
+    let testbed = measure("testbed_offload_60s", &|obs| {
         let (graph, dut) = testbed_topology();
         Simulation::builder()
             .graph(graph)
@@ -341,7 +322,6 @@ fn emit() -> BenchBaseline {
             .duration_ms(60_000)
             .seed(42)
             .full_monitoring_offload(true)
-            .engine(engine)
             .obs(obs)
             .build()
             .expect("testbed knobs are consistent")

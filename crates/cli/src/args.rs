@@ -1,15 +1,36 @@
-//! Shared argument parsing for the simulation-backed `dustctl` commands.
+//! Shared argument parsing for the simulation-backed `dustctl` commands,
+//! plus the value parsers every `dustctl` flag parser uses.
 //!
 //! `sim`, `trace`, and `spans` accept the same run flags — the fault
 //! profile (`--loss`/`--dup`/`--delay`/`--jitter`), the run shape
-//! (`--duration`/`--seed`/`--engine`), and the reporting switches
+//! (`--duration`/`--seed`), and the reporting switches
 //! (`--metrics`/`--metrics-json`/`--metrics-prom`/`--slo`) — so this
 //! module owns that grammar in one place. Each command declares only its
 //! extras here; the three parsers cannot drift apart because there is
 //! exactly one.
 
 use crate::commands::SimOptions;
-use dust::sim::EngineKind;
+use std::str::FromStr;
+
+/// Parse an integer flag value (`--seed`, `--duration`, `--threads`, …)
+/// as an unsigned integer of the target type. A negative, fractional,
+/// exponent-form, or out-of-range value is an error — never a silent
+/// cast: `9007199254740993` stays exact, `2.7` and `-1` are rejected.
+pub fn parse_uint<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: invalid number {value:?} (expected an unsigned integer)"))
+}
+
+/// Parse a `--fat-tree K` arity: an unsigned integer that is even and at
+/// least 2, the only shapes a k-port fat-tree has.
+pub fn parse_fat_tree_k(value: &str) -> Result<usize, String> {
+    let k: usize = parse_uint("--fat-tree", value)?;
+    if k < 2 || !k.is_multiple_of(2) {
+        return Err(format!("--fat-tree: k must be even and at least 2, got {k}"));
+    }
+    Ok(k)
+}
 
 /// Which simulation-backed subcommand is being parsed. Gates the
 /// command-specific flags (`--sweep` and the report switches for `sim`,
@@ -77,19 +98,21 @@ pub fn parse_sim_invocation(
         let v = text(it, flag)?;
         v.parse().map_err(|_| format!("{flag}: invalid number {v:?}"))
     };
+    let uint = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<u64, String> {
+        parse_uint(flag, &text(it, flag)?)
+    };
     while let Some(a) = it.next() {
         match a.as_str() {
             // -- shared by sim, trace, and spans --------------------------
             "--loss" => s.loss = numeric(&mut it, "--loss")?,
             "--dup" => s.dup = numeric(&mut it, "--dup")?,
-            "--delay" => s.delay_ms = numeric(&mut it, "--delay")? as u64,
-            "--jitter" => s.jitter_ms = numeric(&mut it, "--jitter")? as u64,
+            "--delay" => s.delay_ms = uint(&mut it, "--delay")?,
+            "--jitter" => s.jitter_ms = uint(&mut it, "--jitter")?,
             "--duration" => {
-                s.duration_ms = numeric(&mut it, "--duration")? as u64;
+                s.duration_ms = uint(&mut it, "--duration")?;
                 s.duration_explicit = true;
             }
-            "--seed" => s.seed = numeric(&mut it, "--seed")? as u64,
-            "--engine" => s.engine = EngineKind::parse(&text(&mut it, "--engine")?)?,
+            "--seed" => s.seed = uint(&mut it, "--seed")?,
             // -- sim only -------------------------------------------------
             "--scenario" if kind == SimCommandKind::Sim => {
                 s.scenario = Some(text(&mut it, "--scenario")?)
@@ -108,9 +131,7 @@ pub fn parse_sim_invocation(
             "--inject-breach" if kind == SimCommandKind::Sim => s.inject_breach = true,
             // -- trace / spans extras -------------------------------------
             "--full" if kind == SimCommandKind::Trace => inv.full = true,
-            "--flow" if kind == SimCommandKind::Spans => {
-                inv.flow = Some(numeric(&mut it, "--flow")? as u64)
-            }
+            "--flow" if kind == SimCommandKind::Spans => inv.flow = Some(uint(&mut it, "--flow")?),
             "--phase" if kind == SimCommandKind::Spans => {
                 inv.phase = Some(text(&mut it, "--phase")?)
             }
@@ -132,7 +153,6 @@ mod tests {
     fn defaults_when_no_flags() {
         let inv = parse_sim_invocation(SimCommandKind::Sim, &[]).unwrap();
         assert_eq!(inv.opts.duration_ms, 120_000);
-        assert_eq!(inv.opts.engine, EngineKind::Event);
         assert!(!inv.full && inv.flow.is_none() && inv.phase.is_none());
     }
 
@@ -151,14 +171,6 @@ mod tests {
             assert_eq!(inv.opts.duration_ms, 60_000);
             assert_eq!(inv.opts.seed, 7);
         }
-    }
-
-    #[test]
-    fn engine_flag_selects_the_tick_core() {
-        let inv = parse_sim_invocation(SimCommandKind::Trace, &argv("--engine tick")).unwrap();
-        assert_eq!(inv.opts.engine, EngineKind::Tick);
-        let err = parse_sim_invocation(SimCommandKind::Sim, &argv("--engine warp")).unwrap_err();
-        assert!(err.contains("unknown engine"), "{err}");
     }
 
     #[test]
@@ -196,5 +208,47 @@ mod tests {
         assert_eq!(err, "--loss needs a value");
         let err = parse_sim_invocation(SimCommandKind::Sim, &argv("--seed banana")).unwrap_err();
         assert!(err.contains("invalid number"), "{err}");
+    }
+
+    #[test]
+    fn integer_flags_are_exact_unsigned_integers() {
+        // above 2^53: an f64 round trip would run seed 9007199254740992
+        let inv =
+            parse_sim_invocation(SimCommandKind::Sim, &argv("--seed 9007199254740993")).unwrap();
+        assert_eq!(inv.opts.seed, 9_007_199_254_740_993);
+        let inv = parse_sim_invocation(SimCommandKind::Spans, &argv("--flow 18446744073709551615"))
+            .unwrap();
+        assert_eq!(inv.flow, Some(u64::MAX));
+        for flags in [
+            "--seed 2.7",
+            "--seed -1",
+            "--jitter -3",
+            "--delay 0.5",
+            "--duration 1e30",
+            "--duration 18446744073709551616",
+        ] {
+            let err = parse_sim_invocation(SimCommandKind::Sim, &argv(flags)).unwrap_err();
+            assert!(err.contains("expected an unsigned integer"), "{flags}: {err}");
+        }
+        let err = parse_sim_invocation(SimCommandKind::Spans, &argv("--flow -2")).unwrap_err();
+        assert!(err.starts_with("--flow: invalid number"), "{err}");
+        // the helper the place/profile/file parsers call directly
+        assert_eq!(parse_uint::<usize>("--threads", "8"), Ok(8));
+        assert!(parse_uint::<u8>("--hops", "256").is_err(), "out of range for the target");
+        assert!(parse_uint::<usize>("--batch", "").is_err());
+        let err = parse_uint::<usize>("--max-hop", "-1").unwrap_err();
+        assert_eq!(err, "--max-hop: invalid number \"-1\" (expected an unsigned integer)");
+    }
+
+    #[test]
+    fn fat_tree_arity_must_be_even_and_at_least_two() {
+        assert_eq!(parse_fat_tree_k("2"), Ok(2));
+        assert_eq!(parse_fat_tree_k("64"), Ok(64));
+        for bad in ["0", "1", "3", "63"] {
+            let err = parse_fat_tree_k(bad).unwrap_err();
+            assert!(err.contains("must be even and at least 2"), "{bad}: {err}");
+        }
+        assert!(parse_fat_tree_k("-4").unwrap_err().contains("unsigned integer"));
+        assert!(parse_fat_tree_k("4.0").is_err());
     }
 }

@@ -102,10 +102,6 @@ pub struct SimOptions {
     /// Deliberately corrupt the first run's agent census after the fact
     /// so the invariant check (and post-mortem path) demonstrably fires.
     pub inject_breach: bool,
-    /// Which simulation core runs the scenario. The default event core
-    /// and the legacy tick core produce byte-identical output for the
-    /// same flags; `--engine tick` exists to prove it.
-    pub engine: EngineKind,
     /// Run a named registry scenario instead of the chaos ladder
     /// (`--scenario help` lists the registry). Mutually exclusive with
     /// the fault flags, `--sweep`, and `--inject-breach`.
@@ -136,7 +132,6 @@ impl Default for SimOptions {
             slo: None,
             postmortem: None,
             inject_breach: false,
-            engine: EngineKind::default(),
             scenario: None,
             duration_explicit: false,
             profile: None,
@@ -225,23 +220,16 @@ pub fn cmd_sim(opts: &SimOptions) -> Result<SimRun, String> {
         }
         match &spec {
             Some(spec) => {
-                let (r, engine) = chaos_with_slo_on(
-                    faults,
-                    opts.duration_ms,
-                    opts.seed,
-                    obs.clone(),
-                    spec,
-                    opts.engine,
-                );
+                let (r, engine) =
+                    chaos_with_slo(faults, opts.duration_ms, opts.seed, obs.clone(), spec);
                 results.push(r);
                 engines.push(engine);
             }
-            None => results.push(chaos_with_faults_observed_on(
+            None => results.push(chaos_with_faults_observed(
                 faults,
                 opts.duration_ms,
                 opts.seed,
                 obs.clone(),
-                opts.engine,
             )),
         }
         recorders.push(obs);
@@ -387,7 +375,6 @@ fn cmd_sim_scenario(opts: &SimOptions) -> Result<SimRun, String> {
     let knobs = ScenarioKnobs {
         duration_ms: opts.duration_explicit.then_some(opts.duration_ms),
         seed: opts.seed,
-        engine: opts.engine,
         obs: obs.clone(),
         slo_override,
     };
@@ -501,13 +488,7 @@ pub fn cmd_trace(
     }
     let obs = ObsHandle::recording(opts.seed);
     let faults = opts.fault_ladder().remove(0);
-    let r = chaos_with_faults_observed_on(
-        faults,
-        opts.duration_ms,
-        opts.seed,
-        obs.clone(),
-        opts.engine,
-    );
+    let r = chaos_with_faults_observed(faults, opts.duration_ms, opts.seed, obs.clone());
     let trace = obs.trace_snapshot().expect("recording handle");
     if full {
         return trace.write_text(out).map_err(|e| format!("writing trace: {e}"));
@@ -546,13 +527,7 @@ pub fn cmd_spans(
     }
     let obs = ObsHandle::recording(opts.seed);
     let faults = opts.fault_ladder().remove(0);
-    let r = chaos_with_faults_observed_on(
-        faults,
-        opts.duration_ms,
-        opts.seed,
-        obs.clone(),
-        opts.engine,
-    );
+    let r = chaos_with_faults_observed(faults, opts.duration_ms, opts.seed, obs.clone());
     let trace = obs.trace_snapshot().expect("recording handle");
     let forest = build_spans(&trace);
     let (t, reg, p) = forest.kind_counts();
@@ -1123,8 +1098,6 @@ pub struct ProfileOptions {
     pub seed: u64,
     /// Simulated-duration override, ms (`None` = the scenario default).
     pub duration_ms: Option<u64>,
-    /// Which simulation core to profile.
-    pub engine: EngineKind,
     /// Write the artifact to this path instead of stdout.
     pub out: Option<String>,
 }
@@ -1162,8 +1135,13 @@ pub fn cmd_profile(name: &str, opts: &ProfileOptions) -> Result<String, String> 
     obs.enable_profiling();
     let (label, duration_ms, events) = if name == "scale_fleet" {
         let duration = opts.duration_ms.unwrap_or(PROFILE_FLEET_DURATION_MS);
-        let mut sim =
-            scale_fleet_sim_on(PROFILE_FLEET_K, duration, opts.seed, obs.clone(), opts.engine);
+        let mut sim = scale_fleet_sim_on(
+            PROFILE_FLEET_K,
+            duration,
+            opts.seed,
+            obs.clone(),
+            EngineKind::Event,
+        );
         let report = sim.run();
         (format!("scale_fleet (k={PROFILE_FLEET_K})"), duration, report.events_processed)
     } else {
@@ -1177,7 +1155,6 @@ pub fn cmd_profile(name: &str, opts: &ProfileOptions) -> Result<String, String> 
         let knobs = ScenarioKnobs {
             duration_ms: opts.duration_ms,
             seed: opts.seed,
-            engine: opts.engine,
             obs: obs.clone(),
             slo_override: None,
         };
@@ -1186,9 +1163,8 @@ pub fn cmd_profile(name: &str, opts: &ProfileOptions) -> Result<String, String> 
         (sc.name.to_string(), duration, run.report.events_processed)
     };
     let mut out = format!(
-        "profile: {label}, seed {}, engine {}, {:.0}s simulated, {events} events\n",
+        "profile: {label}, seed {}, {:.0}s simulated, {events} events\n",
         opts.seed,
-        opts.engine,
         duration_ms as f64 / 1000.0,
     );
     let report = obs.profile_report().expect("profiling was enabled");
@@ -1631,7 +1607,7 @@ mod tests {
         assert_eq!(counts(&a), counts(&b), "scope counts must be byte-identical per seed");
         assert!(!counts(&a).is_empty(), "{a}");
         assert!(a.lines().any(|l| l.starts_with("self ")), "{a}");
-        assert!(a.starts_with("profile: testbed, seed 17, engine event"), "{a}");
+        assert!(a.starts_with("profile: testbed, seed 17, 20s simulated"), "{a}");
     }
 
     #[test]

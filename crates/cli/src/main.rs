@@ -8,8 +8,7 @@
 //! dustctl zoned net.dust --zone-size 80 --sweep
 //! ```
 
-use dust::sim::EngineKind;
-use dust_cli::args::{parse_sim_invocation, SimCommandKind};
+use dust_cli::args::{parse_fat_tree_k, parse_sim_invocation, parse_uint, SimCommandKind};
 use dust_cli::commands::{
     cmd_dot, cmd_heuristic, cmd_optimize, cmd_place, cmd_profile, cmd_sim, cmd_spans, cmd_trace,
     cmd_zoned, roles, Options, PlaceOptions, ProfileOptions,
@@ -50,7 +49,8 @@ options (all commands taking a file):
 
 place options (plus the file options above):
   --fat-tree K  solve on a generated k-port fat-tree with seeded random
-                states instead of a <file> (k = 64 is the paper's scale)
+                states instead of a <file>; K is even and at least 2
+                (k = 64 is the paper's scale)
   --partitions K
                 split the transport problem into K seeded random
                 subproblems solved in parallel (1 = exact; any infeasible
@@ -84,8 +84,6 @@ sim options:
   --jitter MS   extra uniform delay in 0..=MS, reorders messages (default 0)
   --duration MS simulated time (default 120000)
   --seed N      master seed (default 0)
-  --engine NAME simulation core: event (default) or tick; both produce
-                byte-identical output for the same flags
   --sweep       sweep loss 0/5/10/20/40% instead of a single --loss run
   --metrics     append the recorded metrics (counters/gauges/histograms)
   --metrics-json
@@ -109,7 +107,6 @@ sim options:
 profile options:
   --seed N      master seed (default 0)
   --duration MS override the scenario's default simulated time
-  --engine NAME simulation core to profile: event (default) or tick
   --out PATH    write the artifact to PATH instead of stdout
 
 trace options: same as sim (minus --sweep), plus
@@ -119,12 +116,22 @@ spans options: same as sim (minus --sweep), plus
   --flow N      show only transfer flow N in the flow table
   --phase NAME  show only NAME in the phase-latency table
 
+integer values (N, MS, K) are unsigned integers: a negative, fractional,
+or out-of-range value is a usage error
+
 exit status: 0 on success, 1 when no feasible placement exists, a sim
 invariant breaks, or an --slo rule breaches, 2 on usage errors";
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("dustctl: {msg}\n\n{USAGE}");
     std::process::exit(2)
+}
+
+/// Take the next argument as an unsigned integer flag value, exiting 2
+/// when it is missing or not one.
+fn uint<T: std::str::FromStr>(it: &mut dyn Iterator<Item = &String>, flag: &str) -> T {
+    let v = it.next().unwrap_or_else(|| fail(format!("{flag} needs a value")));
+    parse_uint(flag, v).unwrap_or_else(|e| fail(e))
 }
 
 fn main() {
@@ -179,22 +186,8 @@ fn main() {
         };
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--seed" => {
-                    let v = value(&mut it, "--seed");
-                    popts.seed =
-                        v.parse().unwrap_or_else(|_| fail(format!("--seed: invalid number {v:?}")))
-                }
-                "--duration" => {
-                    let v = value(&mut it, "--duration");
-                    popts.duration_ms = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| fail(format!("--duration: invalid number {v:?}"))),
-                    )
-                }
-                "--engine" => {
-                    popts.engine =
-                        EngineKind::parse(&value(&mut it, "--engine")).unwrap_or_else(|e| fail(e))
-                }
+                "--seed" => popts.seed = uint(&mut it, "--seed"),
+                "--duration" => popts.duration_ms = Some(uint(&mut it, "--duration")),
                 "--out" => popts.out = Some(value(&mut it, "--out")),
                 other => fail(format!("unknown profile option {other:?}")),
             }
@@ -221,16 +214,17 @@ fn main() {
                 "--c-max" => popts.base.c_max = numeric(&mut it, "--c-max"),
                 "--co-max" => popts.base.co_max = numeric(&mut it, "--co-max"),
                 "--x-min" => popts.base.x_min = numeric(&mut it, "--x-min"),
-                "--max-hop" => popts.base.max_hop = Some(numeric(&mut it, "--max-hop") as usize),
+                "--max-hop" => popts.base.max_hop = Some(uint(&mut it, "--max-hop")),
                 "--enumerate" => popts.base.enumerate_paths = true,
                 "--simplex" => popts.base.simplex = true,
-                "--threads" => popts.base.threads = numeric(&mut it, "--threads") as usize,
-                "--fat-tree" => popts.fat_tree = Some(numeric(&mut it, "--fat-tree") as usize),
-                "--partitions" => {
-                    popts.partitions = Some(numeric(&mut it, "--partitions") as usize)
+                "--threads" => popts.base.threads = uint(&mut it, "--threads"),
+                "--fat-tree" => {
+                    let v = it.next().unwrap_or_else(|| fail("--fat-tree needs a value"));
+                    popts.fat_tree = Some(parse_fat_tree_k(v).unwrap_or_else(|e| fail(e)))
                 }
-                "--batch" => popts.batch = numeric(&mut it, "--batch") as usize,
-                "--seed" => popts.seed = numeric(&mut it, "--seed") as u64,
+                "--partitions" => popts.partitions = Some(uint(&mut it, "--partitions")),
+                "--batch" => popts.batch = uint(&mut it, "--batch"),
+                "--seed" => popts.seed = uint(&mut it, "--seed"),
                 "--gap" => popts.gap = true,
                 "--warm" => popts.warm = true,
                 "--delta-threshold" => {
@@ -274,12 +268,12 @@ fn main() {
             "--c-max" => opts.c_max = numeric(&mut it, "--c-max"),
             "--co-max" => opts.co_max = numeric(&mut it, "--co-max"),
             "--x-min" => opts.x_min = numeric(&mut it, "--x-min"),
-            "--max-hop" => opts.max_hop = Some(numeric(&mut it, "--max-hop") as usize),
+            "--max-hop" => opts.max_hop = Some(uint(&mut it, "--max-hop")),
             "--enumerate" => opts.enumerate_paths = true,
             "--simplex" => opts.simplex = true,
-            "--threads" => opts.threads = numeric(&mut it, "--threads") as usize,
-            "--hops" => hops = numeric(&mut it, "--hops") as usize,
-            "--zone-size" => zone_size = Some(numeric(&mut it, "--zone-size") as usize),
+            "--threads" => opts.threads = uint(&mut it, "--threads"),
+            "--hops" => hops = uint(&mut it, "--hops"),
+            "--zone-size" => zone_size = Some(uint(&mut it, "--zone-size")),
             "--sweep" => sweep = true,
             other => fail(format!("unknown option {other:?}")),
         }

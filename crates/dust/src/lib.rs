@@ -69,12 +69,10 @@ pub mod prelude {
         ScenarioRun, StormConfig,
     };
     pub use dust_sim::{
-        chaos_with_faults, chaos_with_faults_observed, chaos_with_faults_observed_on,
-        chaos_with_slo, chaos_with_slo_on, evaluate_flows, fleet, scale_fleet, scale_fleet_sim,
-        scale_fleet_sim_on, testbed_dust_config, testbed_nodes, testbed_observed,
-        testbed_observed_on, testbed_topology, ChaosResult, EngineKind, FaultConfig, FaultProfile,
-        FlowOutcome, NodeSpec, SimBuilder, SimConfig, SimNode, SimReport, Simulation,
-        TelemetryFlow, TrafficModel, Transport,
+        chaos_with_faults, chaos_with_faults_observed, chaos_with_slo, evaluate_flows, fleet,
+        scale_fleet_sim_on, testbed_dust_config, testbed_nodes, testbed_observed, testbed_topology,
+        ChaosResult, EngineKind, FaultConfig, FaultProfile, FlowOutcome, NodeSpec, SimBuilder,
+        SimConfig, SimNode, SimReport, Simulation, TelemetryFlow, TrafficModel, Transport,
     };
     pub use dust_telemetry::{
         aggregate_load, compress, decompress, AgentKind, Federation, MonitorAgent, Series, Tsdb,

@@ -38,8 +38,8 @@ pub mod transportation;
 
 pub use branch_bound::{solve_mip, solve_mip_with, MipOptions, MipSolution};
 pub use partition::{
-    solve_partitioned_via, solve_partitioned_via_warm, solve_partitioned_with,
-    solve_subs_sequential, PartitionOutcome, PartitionPlan, PartitionWarm, SubProblem,
+    solve_partitioned_via, solve_partitioned_via_warm, PartitionOutcome, PartitionPlan,
+    PartitionWarm, SubProblem,
 };
 pub use problem::{Cmp, Constraint, Problem, Sense, Var, VarDef};
 pub use simplex::{solve, solve_with, Options, Solution, Status};

@@ -36,9 +36,8 @@
 //! problem was infeasible to begin with. The fallback stays wired in
 //! regardless, so callers never lose answers to partitioning.
 //!
-//! [`solve_partitioned_with`] is the sequential entry point;
-//! [`solve_partitioned_via`] accepts a caller-supplied batch solver so the
-//! subproblems can run on an existing thread pool (dust-core drives it from
+//! [`solve_partitioned_via`] takes a caller-supplied batch solver so the
+//! subproblems run on an existing thread pool (dust-core drives it from
 //! the `CostEngine` scoped-thread pool).
 
 use crate::transportation::{
@@ -507,31 +506,31 @@ where
     }
 }
 
-/// Sequential partitioned solve: subproblems run one after another on the
-/// calling thread. See [`solve_partitioned_via`] for the parallel hook and
-/// [`solve_partitioned_via_warm`] for basis reuse across rounds.
-pub fn solve_partitioned_with(
-    p: &TransportProblem,
-    parts: NonZeroUsize,
-    seed: u64,
-    obs: &ObsHandle,
-) -> PartitionOutcome {
-    solve_partitioned_via(p, parts, seed, obs, solve_subs_sequential)
-}
-
-/// The default batch solver: solve each subproblem on the calling thread,
-/// honoring any attached warm basis. Exposed so warm-aware callers (and
-/// tests) can reuse it with [`solve_partitioned_via_warm`].
-pub fn solve_subs_sequential(subs: &[SubProblem]) -> Vec<TransportSolution> {
-    let obs = ObsHandle::disabled();
-    subs.iter()
-        .map(|s| s.problem.solve_with_options(&obs, &SolveOptions { warm_start: s.warm.clone() }))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sequential partitioned solve: subproblems run one after another on
+    /// the calling thread.
+    fn solve_partitioned_with(
+        p: &TransportProblem,
+        parts: NonZeroUsize,
+        seed: u64,
+        obs: &ObsHandle,
+    ) -> PartitionOutcome {
+        solve_partitioned_via(p, parts, seed, obs, solve_subs_sequential)
+    }
+
+    /// Batch solver for the tests: each subproblem on the calling thread,
+    /// honoring any attached warm basis.
+    fn solve_subs_sequential(subs: &[SubProblem]) -> Vec<TransportSolution> {
+        let obs = ObsHandle::disabled();
+        subs.iter()
+            .map(|s| {
+                s.problem.solve_with_options(&obs, &SolveOptions { warm_start: s.warm.clone() })
+            })
+            .collect()
+    }
 
     fn nz(k: usize) -> NonZeroUsize {
         NonZeroUsize::new(k).unwrap()

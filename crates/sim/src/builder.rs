@@ -29,7 +29,6 @@
 //! assert!(report.end_ms > 0);
 //! ```
 
-use crate::engine::EngineKind;
 use crate::node::SimNode;
 use crate::runner::{DriftConfig, SimConfig, Simulation, StormConfig};
 use crate::traffic::TrafficModel;
@@ -156,13 +155,6 @@ impl SimBuilder {
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
         self.seed_set = true;
-        self
-    }
-
-    /// Which simulation core runs this configuration (default:
-    /// [`EngineKind::Event`]; `tick` is the legacy reference core).
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.cfg.engine = engine;
         self
     }
 

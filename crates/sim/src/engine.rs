@@ -14,36 +14,15 @@
 
 use std::collections::{BinaryHeap, HashSet};
 
-/// Which simulation core drives a [`crate::Simulation`] run.
+/// The simulation core selector, kept as a one-variant enum only so
+/// callers outside this workspace that still name
+/// [`EngineKind::Event`] keep compiling. There is one core
+/// ([`crate::event`]); nothing reads this value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// The event-driven core: identical observable behaviour to the tick
-    /// core, with per-event-time batching and arena-backed hot state.
+    /// The event-driven core, the only one.
     #[default]
     Event,
-    /// The legacy fixed-cadence core, kept as the compatibility reference
-    /// that pins the event core's golden digests.
-    Tick,
-}
-
-impl EngineKind {
-    /// Parse a CLI-style engine name.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "event" => Ok(EngineKind::Event),
-            "tick" => Ok(EngineKind::Tick),
-            other => Err(format!("unknown engine '{other}' (expected 'event' or 'tick')")),
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EngineKind::Event => "event",
-            EngineKind::Tick => "tick",
-        })
-    }
 }
 
 /// A pending event of type `E` at a point in simulated time.
@@ -301,14 +280,5 @@ mod tests {
         assert_eq!(order, vec![(15, "middle"), (30, "expiry")]);
         let mut q2: EventQueue<&str> = EventQueue::new();
         assert!(q2.reschedule(t2, 40, "gone").is_none(), "fired token cannot move");
-    }
-
-    #[test]
-    fn engine_kind_parses_and_displays() {
-        assert_eq!(EngineKind::parse("tick").unwrap(), EngineKind::Tick);
-        assert_eq!(EngineKind::parse("event").unwrap(), EngineKind::Event);
-        assert!(EngineKind::parse("warp").is_err());
-        assert_eq!(EngineKind::default().to_string(), "event");
-        assert_eq!(EngineKind::Tick.to_string(), "tick");
     }
 }

@@ -1,35 +1,48 @@
-//! The event-driven simulation core.
+//! The simulation loop.
 //!
-//! Processes exactly the same typed [`SimEvent`] sequence as the tick
-//! core in [`crate::runner`] — same `(time, seq)` order, same protocol
-//! calls, same observability emissions — so golden-trace digests,
-//! `--metrics-json` output, and every recorded metric series are
-//! bit-identical between the two. The speed comes from *how* each
-//! handler computes, never from reordering *what* happens:
+//! Pops the typed `SimEvent` sequence in `(time, seq)` order and
+//! dispatches each event to its [`Simulation`] handler. What it keeps
+//! out of the handlers is *how* per-event work is computed, never *what*
+//! happens:
 //!
-//! * **Lazy link application.** The tick core re-rolls a per-edge RNG
-//!   over the whole graph at every STAT emission
-//!   ([`TrafficModel::apply_to_links`] is a pure function of
-//!   `(seed, time)`). The simulation's own graph copy is only ever read
-//!   by flow evaluation at sample points, so the event core just records
-//!   the last emission time and applies it on demand — an O(E) pass per
-//!   *flow-bearing sample* instead of per emission, and never when no
-//!   telemetry flow is routed.
+//! * **Lazy link application.** [`TrafficModel::apply_to_links`] is a
+//!   pure function of `(seed, time)`, and the simulation's own graph copy
+//!   is only ever read by flow evaluation at sample points. So a STAT
+//!   emission just records its time, and the link state is applied on
+//!   demand — an O(E) pass per *flow-bearing sample* instead of per
+//!   emission, and never when no telemetry flow is routed.
 //! * **Epoch-keyed node caches.** Per-agent CPU/memory walks are cached
 //!   per node, keyed on [`SimNode::agents_epoch`] and the traffic
 //!   fraction's bit pattern; only the burst-window arithmetic (a pure
 //!   function of the cached sum and `now`) runs per event. The shared
 //!   `*_from_raw` helpers on [`SimNode`] keep the arithmetic
-//!   bit-identical with the uncached path.
+//!   bit-identical with the uncached path. Each cache miss opens a
+//!   `sim.node_recompute` profiler scope, so the memoization's work is
+//!   an exact count: one recompute per node per agent epoch and traffic
+//!   level.
 //! * **Arena-style buffers.** STAT emission reuses one message buffer
 //!   ([`dust_proto::Client::tick_into`]); the telemetry flow set is
 //!   rebuilt only when the transfer ledger's version moves; liveness is
 //!   a flat bitmap instead of a hash probe per node.
+//!
+//! # Debug oracles
+//!
+//! Every cache above has an uncached reference it must equal. In debug
+//! builds (so in every test run) each cache hit is checked against it
+//! bit-for-bit: node aggregates against [`SimNode::raw_agent_cpu`],
+//! [`SimNode::data_mb`] and [`SimNode::device_mem_percent`], the liveness
+//! bitmap against `Simulation::alive`, and the flow arena against a
+//! fresh build from the transfer ledger. A mutation that forgets to bump
+//! an epoch or a version fails the first test that reads the stale
+//! entry. Release builds skip the checks.
+//!
+//! [`TrafficModel::apply_to_links`]: crate::traffic::TrafficModel::apply_to_links
 
 use crate::engine::EventQueue;
 use crate::flows::{evaluate_flows, TelemetryFlow};
 use crate::node::SimNode;
 use crate::runner::{SimEvent, SimReport, Simulation};
+use dust_obs::ObsHandle;
 use dust_proto::ClientMsg;
 
 /// Per-node cached aggregates, invalidated by agent-ledger epoch (and
@@ -77,14 +90,22 @@ impl HotState {
     }
 
     /// Refresh node `i`'s cached aggregates for `traffic` and return
-    /// `(raw_cpu, data_mb)`.
-    fn raw(&mut self, node: &SimNode, i: usize, traffic: f64) -> (f64, f64) {
+    /// `(raw_cpu, data_mb)`. A miss is one `sim.node_recompute` scope.
+    fn raw(&mut self, node: &SimNode, i: usize, traffic: f64, obs: &ObsHandle) -> (f64, f64) {
         let key = (node.agents_epoch(), traffic.to_bits());
         let c = &mut self.cache[i];
         if c.raw_key != Some(key) {
+            let _prof = obs.prof_scope("sim.node_recompute");
             c.raw_cpu = node.raw_agent_cpu(traffic);
             c.data_mb = node.data_mb(traffic);
             c.raw_key = Some(key);
+        } else {
+            debug_assert!(
+                c.raw_cpu.to_bits() == node.raw_agent_cpu(traffic).to_bits()
+                    && c.data_mb.to_bits() == node.data_mb(traffic).to_bits(),
+                "stale node cache for {:?}: an agent mutation skipped the epoch bump",
+                node.id
+            );
         }
         (c.raw_cpu, c.data_mb)
     }
@@ -96,14 +117,31 @@ impl HotState {
         if c.mem_key != Some(key) {
             c.mem_percent = node.device_mem_percent();
             c.mem_key = Some(key);
+        } else {
+            debug_assert!(
+                c.mem_percent.to_bits() == node.device_mem_percent().to_bits(),
+                "stale memory cache for {:?}: an agent mutation skipped the epoch bump",
+                node.id
+            );
         }
         c.mem_percent
     }
 }
 
-/// Run `sim` to completion on the event core. Called from
-/// [`Simulation::run`] when the configured engine is
-/// [`crate::engine::EngineKind::Event`].
+/// The telemetry flows the transfer ledger routes: every active transfer
+/// with data and a planned route.
+fn ledger_flows(sim: &Simulation) -> impl Iterator<Item = TelemetryFlow> + '_ {
+    sim.active.values().filter(|t| t.data_mb > 0.0).filter_map(|t| {
+        t.route.as_ref().map(|r| TelemetryFlow {
+            owner: t.owner,
+            host: t.host,
+            route: r.clone(),
+            data_mb: t.data_mb,
+        })
+    })
+}
+
+/// Run `sim` to completion; the body of [`Simulation::run`].
 pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
     let mut report = Simulation::empty_report();
     let mut q: EventQueue<SimEvent> = EventQueue::new();
@@ -125,15 +163,16 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
         match ev.event {
             SimEvent::StatEmission => {
                 let traffic = sim.traffic.fraction(now);
-                // The tick core applies link jitter here; nothing below
-                // reads the graph, so note the time and move on.
+                // This emission's link state is due on the graph, but
+                // nothing below reads it: note the time and move on.
                 hot.links_pending = Some(now);
                 let walk = sim.obs.prof_scope("sim.resource_walk");
                 for i in 0..sim.nodes.len() {
+                    debug_assert_eq!(hot.alive[i], sim.alive(sim.nodes[i].id), "liveness bitmap");
                     if !hot.alive[i] {
                         continue;
                     }
-                    let (raw, data) = hot.raw(&sim.nodes[i], i, traffic);
+                    let (raw, data) = hot.raw(&sim.nodes[i], i, traffic, &sim.obs);
                     let cpu = sim.nodes[i].device_cpu_from_raw(raw, now);
                     sim.clients[i].observe(cpu, data);
                     sim.clients[i].tick_into(now, &mut hot.stat_buf);
@@ -154,7 +193,7 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                 let traffic = sim.traffic.fraction(now);
                 let batch = sim.obs.prof_scope("sim.telemetry_batch");
                 for i in 0..sim.nodes.len() {
-                    let (raw, _) = hot.raw(&sim.nodes[i], i, traffic);
+                    let (raw, _) = hot.raw(&sim.nodes[i], i, traffic, &sim.obs);
                     let mem = hot.mem(&sim.nodes[i], i);
                     let n = &sim.nodes[i];
                     let cpu = n.device_cpu_from_raw(raw, now);
@@ -176,17 +215,13 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                 }
                 if hot.flows_version != Some(sim.active_version) {
                     hot.flows.clear();
-                    hot.flows.extend(sim.active.values().filter(|t| t.data_mb > 0.0).filter_map(
-                        |t| {
-                            t.route.as_ref().map(|r| TelemetryFlow {
-                                owner: t.owner,
-                                host: t.host,
-                                route: r.clone(),
-                                data_mb: t.data_mb,
-                            })
-                        },
-                    ));
+                    hot.flows.extend(ledger_flows(sim));
                     hot.flows_version = Some(sim.active_version);
+                } else {
+                    debug_assert!(
+                        hot.flows.iter().cloned().eq(ledger_flows(sim)),
+                        "stale flow arena: a ledger change skipped the version bump"
+                    );
                 }
                 if !hot.flows.is_empty() {
                     // flows read link utilizations: reconcile the graph
@@ -237,4 +272,40 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
     }
     sim.finish_report(&mut report);
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::EngineKind;
+    use crate::scenarios::scale_fleet_sim_on;
+    use dust_obs::ObsHandle;
+
+    /// Total invocations of scope `name` over every path it appears
+    /// under, read off the profile artifact's `count` lines.
+    fn scope_count(profile: &str, name: &str) -> u64 {
+        profile
+            .lines()
+            .filter_map(|l| l.strip_prefix("count "))
+            .filter_map(|l| l.rsplit_once(' '))
+            .filter(|(path, _)| path.rsplit(';').next() == Some(name))
+            .map(|(_, n)| n.parse::<u64>().expect("count lines end in an integer"))
+            .sum()
+    }
+
+    /// The exact work-count gate on the node caches: under constant
+    /// traffic and a quiet control plane no agent list ever changes, so
+    /// each node's aggregates are computed once and every later STAT
+    /// emission and telemetry sample is a cache hit. A memoization that
+    /// misses recomputes on every event and fails this on any host.
+    #[test]
+    fn scale_fleet_recomputes_each_node_once() {
+        let obs = ObsHandle::recording(1);
+        obs.enable_profiling();
+        let mut sim = scale_fleet_sim_on(8, 3_000, 1, obs.clone(), EngineKind::Event);
+        let report = sim.run();
+        assert_eq!(sim.nodes().len(), 80, "k = 8 fat-tree");
+        assert_eq!(report.events_processed, 427);
+        let profile = obs.profile_report().expect("profiling enabled");
+        assert_eq!(scope_count(&profile, "sim.node_recompute"), 80, "{profile}");
+    }
 }

@@ -18,7 +18,7 @@ use dust_proto::qos::{admit, ClassifiedLoad, Priority};
 use dust_topology::{EdgeId, Graph, NodeId, Path};
 
 /// One active telemetry stream from a Busy node to its host.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryFlow {
     /// Monitored (Busy) node producing the data.
     pub owner: NodeId,

@@ -3,12 +3,11 @@
 //! Substitutes the paper's physical prototype — a VxLAN data-center
 //! topology of commercial switches — with a deterministic simulation:
 //!
-//! * [`engine`] — a deterministic event queue with cancelable timers and
-//!   the [`engine::EngineKind`] core selector;
+//! * [`engine`] — a deterministic event queue with cancelable timers;
 //! * [`builder`] — validating construction ([`Simulation::builder`]);
-//! * [`event`] — the event-driven core: identical observable behaviour
-//!   to the tick core, with per-event-time batching and arena-backed
-//!   hot state;
+//! * [`event`] — the simulation loop, with epoch-keyed node caches
+//!   checked against their uncached reference functions in debug builds,
+//!   and arena-backed hot state;
 //! * [`node`] — the device resource model (Aruba-8325-class DUT, servers,
 //!   DPUs) where CPU/memory derive from which monitor agents run where;
 //! * [`traffic`] — VxLAN overlay traffic profiles projected onto links;
@@ -20,7 +19,7 @@
 //!   mixes, DUST config) and the parameterized chaos harness;
 //! * [`registry`] — the named scenario registry: every canned workload
 //!   (`testbed`, `chaos`, `int_burst`, `diurnal`, `flash_crowd`,
-//!   `zone_storm`) as a [`registry::Scenario`] descriptor carrying its
+//!   `zone_storm`, `churn`) as a [`registry::Scenario`] descriptor carrying its
 //!   own SLO spec, plus the Fig. 1 / Fig. 6 experiment helpers.
 //!
 //! # Example
@@ -61,9 +60,8 @@ pub use registry::{
 };
 pub use runner::{DriftConfig, SimConfig, SimReport, Simulation, StormConfig};
 pub use scenarios::{
-    chaos_with_faults, chaos_with_faults_observed, chaos_with_faults_observed_on, chaos_with_slo,
-    chaos_with_slo_on, congestion, fleet, scale_fleet, scale_fleet_sim, scale_fleet_sim_on,
-    testbed_dust_config, testbed_nodes, testbed_observed, testbed_observed_on, testbed_topology,
+    chaos_with_faults, chaos_with_faults_observed, chaos_with_slo, congestion, fleet,
+    scale_fleet_sim_on, testbed_dust_config, testbed_nodes, testbed_observed, testbed_topology,
     ChaosResult, CongestionResult, Fig1Row, Fig6Result, FleetResult,
 };
 pub use traffic::TrafficModel;

@@ -6,9 +6,10 @@
 //! entry is simultaneously a reproducible experiment and a pass/fail
 //! gate: [`Scenario::run`] always attaches an online [`SloEngine`] for
 //! the entry's spec (override it via [`ScenarioKnobs::slo_override`]),
-//! and a run is bit-identical per `(seed, duration, engine)` — the CI
-//! chaos gate diffs two `dustctl sim --scenario <name> --metrics-json`
-//! invocations byte-for-byte.
+//! and a run is bit-identical per `(seed, duration)` — the CI chaos gate
+//! diffs two `dustctl sim --scenario <name> --metrics-json` invocations
+//! byte-for-byte, and the tests pin trace digests and metrics hashes
+//! per entry and seed.
 //!
 //! The registry entries:
 //!
@@ -22,12 +23,12 @@
 //! | `zone_storm`  | 4-k fat-tree: CPU-cascade storm + a pod-wide outage   |
 //! | `churn`       | testbed under seeded link/agent drift, warm + delta   |
 //!
-//! The experiment helpers that used to live in [`crate::scenarios`]
-//! ([`fig1_curve`], [`fig6_contrast`], [`chaos_run`], [`chaos_ladder`])
-//! live here; the old `fig1`/`fig6`/`chaos`/`chaos_sweep` aliases have
-//! been removed.
+//! The experiment helpers [`fig1_curve`], [`fig6_contrast`],
+//! [`chaos_run`] and [`chaos_ladder`] live here too. Every testbed run in
+//! this module and in [`crate::scenarios`] starts from one
+//! `testbed_builder` and overrides only what differs.
 
-use crate::engine::EngineKind;
+use crate::builder::SimBuilder;
 use crate::node::{NodeSpec, SimNode};
 use crate::runner::{DriftConfig, SimReport, Simulation, StormConfig};
 use crate::scenarios::{
@@ -50,8 +51,6 @@ pub struct ScenarioKnobs {
     pub duration_ms: Option<u64>,
     /// Master seed.
     pub seed: u64,
-    /// Which simulation core runs it (both produce identical output).
-    pub engine: EngineKind,
     /// Observability sink ([`ObsHandle::disabled`] for a plain run).
     pub obs: ObsHandle,
     /// Evaluate this spec instead of the scenario's attached one.
@@ -60,13 +59,7 @@ pub struct ScenarioKnobs {
 
 impl Default for ScenarioKnobs {
     fn default() -> Self {
-        ScenarioKnobs {
-            duration_ms: None,
-            seed: 0,
-            engine: EngineKind::default(),
-            obs: ObsHandle::disabled(),
-            slo_override: None,
-        }
+        ScenarioKnobs { duration_ms: None, seed: 0, obs: ObsHandle::disabled(), slo_override: None }
     }
 }
 
@@ -225,21 +218,26 @@ static REGISTRY: [Scenario; 7] = [
     },
 ];
 
-fn testbed_builder(knobs: &ScenarioKnobs, duration: u64) -> crate::builder::SimBuilder {
+/// The Fig. 5 testbed run every testbed-based scenario starts from:
+/// [`testbed_topology`] with [`testbed_nodes`], [`TrafficModel::testbed`]
+/// traffic, [`testbed_dust_config`] thresholds, a perfect wire, and
+/// full-monitoring offload (§V-A moved all ten agents). Callers override
+/// only what differs — traffic, nodes, faults, drift.
+pub(crate) fn testbed_builder(duration_ms: u64, seed: u64, obs: ObsHandle) -> SimBuilder {
     let (graph, dut) = testbed_topology();
     Simulation::builder()
         .graph(graph)
         .nodes(testbed_nodes(dut))
+        .traffic(TrafficModel::testbed())
         .dust(testbed_dust_config())
-        .duration_ms(duration)
-        .seed(knobs.seed)
+        .duration_ms(duration_ms)
+        .seed(seed)
         .full_monitoring_offload(true)
-        .engine(knobs.engine)
-        .obs(knobs.obs.clone())
+        .obs(obs)
 }
 
 fn make_testbed(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
-    testbed_builder(knobs, duration).traffic(TrafficModel::testbed()).build()
+    testbed_builder(duration, knobs.seed, knobs.obs.clone()).build()
 }
 
 fn make_chaos(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
@@ -249,11 +247,11 @@ fn make_chaos(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustEr
         delay_ms: 20,
         jitter_ms: 100,
     });
-    testbed_builder(knobs, duration).traffic(TrafficModel::testbed()).faults(faults).build()
+    testbed_builder(duration, knobs.seed, knobs.obs.clone()).faults(faults).build()
 }
 
 fn make_int_burst(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
-    let (graph, dut) = testbed_topology();
+    let (_, dut) = testbed_topology();
     let mut nodes = testbed_nodes(dut);
     // The INT class rides along with the periodic STAT deployment: one
     // deterministic 1/N sampler and one seeded probabilistic sampler at
@@ -264,17 +262,7 @@ fn make_int_burst(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, Du
     d.local_agents_mut().push(MonitorAgent::int(IntSampling::Deterministic { n: 4 }));
     d.local_agents_mut().push(MonitorAgent::int(IntSampling::Probabilistic { p: 0.25 }));
     d.note_agents_changed();
-    Simulation::builder()
-        .graph(graph)
-        .nodes(nodes)
-        .traffic(TrafficModel::testbed())
-        .dust(testbed_dust_config())
-        .duration_ms(duration)
-        .seed(knobs.seed)
-        .full_monitoring_offload(true)
-        .engine(knobs.engine)
-        .obs(knobs.obs.clone())
-        .build()
+    testbed_builder(duration, knobs.seed, knobs.obs.clone()).nodes(nodes).build()
 }
 
 fn make_diurnal(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
@@ -285,7 +273,7 @@ fn make_diurnal(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, Dust
         noise: 0.05,
         seed: knobs.seed ^ 0xD1A7,
     };
-    testbed_builder(knobs, duration).traffic(traffic).build()
+    testbed_builder(duration, knobs.seed, knobs.obs.clone()).traffic(traffic).build()
 }
 
 fn make_flash_crowd(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
@@ -296,7 +284,7 @@ fn make_flash_crowd(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, 
         ramp_ms: 5_000.min(duration / 8).max(1),
         hold_ms: duration / 4,
     };
-    testbed_builder(knobs, duration).traffic(traffic).build()
+    testbed_builder(duration, knobs.seed, knobs.obs.clone()).traffic(traffic).build()
 }
 
 fn make_zone_storm(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
@@ -333,7 +321,6 @@ fn make_zone_storm(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, D
         .seed(knobs.seed)
         .full_monitoring_offload(true)
         .storm(storm)
-        .engine(knobs.engine)
         .obs(knobs.obs.clone());
     for &n in &pod {
         b = b.kill_at(duration / 2, n);
@@ -353,8 +340,7 @@ fn make_churn(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustEr
     // full-invalidation threshold on the small testbed fabric), and the
     // delta path re-homing only flows whose T_rmin degraded > 10 %
     // between full solves every 8th round.
-    testbed_builder(knobs, duration)
-        .traffic(TrafficModel::testbed())
+    testbed_builder(duration, knobs.seed, knobs.obs.clone())
         .drift(DriftConfig { links_per_tick: 1, ..DriftConfig::default() })
         .warm_start(true)
         .delta_placement(0.10, 8)
@@ -369,18 +355,13 @@ fn make_churn(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustEr
 /// the DUT with all ten agents local. Each level runs `per_level_ms` of
 /// simulated time.
 pub fn fig1_curve(levels: &[f64], per_level_ms: u64, seed: u64) -> Vec<Fig1Row> {
-    let (graph, dut) = testbed_topology();
+    let (_, dut) = testbed_topology();
     levels
         .iter()
         .map(|&traffic| {
-            let mut sim = Simulation::builder()
-                .graph(graph.clone())
-                .nodes(testbed_nodes(dut))
+            let mut sim = testbed_builder(per_level_ms, seed, ObsHandle::disabled())
                 .traffic(TrafficModel::Constant(traffic))
-                .dust(testbed_dust_config())
                 .dust_enabled(false) // Fig. 1 measures the unoffloaded module
-                .duration_ms(per_level_ms)
-                .seed(seed)
                 .build()
                 .expect("fig1 knobs are consistent");
             let report = sim.run();
@@ -398,17 +379,10 @@ pub fn fig1_curve(levels: &[f64], per_level_ms: u64, seed: u64) -> Vec<Fig1Row> 
 /// of the run) to measure the settled state, mirroring how the testbed
 /// numbers were read.
 pub fn fig6_contrast(duration_ms: u64, seed: u64) -> Fig6Result {
-    let (graph, dut) = testbed_topology();
+    let (_, dut) = testbed_topology();
     let run = |dust_enabled: bool| -> (SimReport, usize) {
-        let mut sim = Simulation::builder()
-            .graph(graph.clone())
-            .nodes(testbed_nodes(dut))
-            .traffic(TrafficModel::testbed())
-            .dust(testbed_dust_config())
+        let mut sim = testbed_builder(duration_ms, seed, ObsHandle::disabled())
             .dust_enabled(dust_enabled)
-            .duration_ms(duration_ms)
-            .seed(seed)
-            .full_monitoring_offload(true)
             .build()
             .expect("fig6 knobs are consistent");
         let r = sim.run();
@@ -599,29 +573,32 @@ mod tests {
         assert_eq!(rehomes, knobs.obs.counter("proto.flows_rehomed"), "every re-home is traced");
     }
 
+    /// 64-bit FNV-1a, the hash the trace digest uses.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
     #[test]
     fn churn_is_identical_across_cores_and_pinned_at_seed_42() {
         let sc = find("churn").unwrap();
-        let run_on = |engine: EngineKind| {
-            let knobs = ScenarioKnobs {
-                obs: ObsHandle::recording(42),
-                engine,
-                duration_ms: Some(60_000),
-                ..ScenarioKnobs::seeded(42)
-            };
-            sc.run(&knobs).unwrap();
-            (knobs.obs.digest().unwrap(), knobs.obs.metrics().unwrap().to_json())
+        let knobs = ScenarioKnobs {
+            obs: ObsHandle::recording(42),
+            duration_ms: Some(60_000),
+            ..ScenarioKnobs::seeded(42)
         };
-        let (tick_digest, tick_metrics) = run_on(EngineKind::Tick);
-        let (event_digest, event_metrics) = run_on(EngineKind::Event);
-        assert_eq!(tick_digest, event_digest, "churn must be core-agnostic");
-        assert_eq!(tick_metrics, event_metrics, "churn metrics must be core-agnostic");
+        sc.run(&knobs).unwrap();
+        let digest = knobs.obs.digest().unwrap();
+        // Both cores produced this metrics JSON before the uncached
+        // reference core was removed; its hash pins it.
+        let metrics = knobs.obs.metrics().unwrap().to_json();
+        assert_eq!(fnv1a(&metrics), 0x2b08_5019_1ba4_34d2, "churn@42 metrics moved");
         // Golden digest: any change to the churn event stream (drift
         // draws, delta-round decisions, re-home ordering) must be a
-        // conscious one — regenerate with
-        //   dustctl sim --scenario churn --seed 42 --duration-ms 60000 --trace-digest
+        // conscious one — regenerate from the `digest` field of
+        //   dustctl sim --scenario churn --seed 42 --duration 60000 --metrics-json
         assert_eq!(
-            format!("{tick_digest:016x}"),
+            format!("{digest:016x}"),
             CHURN_GOLDEN_DIGEST_SEED42,
             "churn@42 golden digest moved"
         );

@@ -18,18 +18,15 @@
 //! [`SimEvent::DeliverManager`] events, so delayed copies interleave with
 //! the periodic events exactly as wall-clock delivery would.
 //!
-//! Two interchangeable cores drive the run ([`SimConfig::engine`]):
-//! the legacy fixed-cadence **tick** core in this module, and the
-//! **event** core in [`crate::event`], which processes the *same* typed
-//! event sequence — [`SimEvent::StatEmission`], offer expiry/backoff
+//! The event loop itself lives in [`crate::event`]: it pops the typed
+//! `SimEvent` sequence — STAT emission, offer expiry/backoff
 //! maintenance, fault-injected delivery, transfer completion, node
-//! kill/revive, and SLO evaluation — but batches telemetry cost updates
-//! per event-time and keeps hot per-node/per-flow state in arenas. The
-//! two cores are pinned bit-for-bit against each other by the golden
-//! trace digests and the `engine_parity` test suite.
+//! kill/revive, and SLO evaluation — and calls the handlers below. Its
+//! outputs are pinned by the golden trace digests and by the values in
+//! `tests/engine_parity.rs`, recorded while a second, uncached reference
+//! loop still produced them bit-for-bit.
 
-use crate::engine::{EngineKind, EventQueue};
-use crate::flows::{evaluate_flows, TelemetryFlow};
+use crate::engine::EventQueue;
 use crate::node::SimNode;
 use crate::traffic::TrafficModel;
 use crate::transport::{Direction, FaultConfig, Transport};
@@ -74,7 +71,7 @@ pub struct StormConfig {
 /// per-packet sampling fraction of one seeded node's local agents,
 /// shifting the data volume (`D_i`) its STATs report. Every draw comes
 /// from a SplitMix64 keyed on `(seed, now)`, so a run is bit-identical
-/// across cores and across repeats.
+/// across repeats.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Drift cadence, ms.
@@ -152,8 +149,6 @@ pub struct SimConfig {
     pub delta_full_every: u64,
     /// Master seed.
     pub seed: u64,
-    /// Which simulation core runs this configuration.
-    pub engine: EngineKind,
 }
 
 impl Default for SimConfig {
@@ -176,13 +171,12 @@ impl Default for SimConfig {
             delta_threshold: None,
             delta_full_every: 8,
             seed: 0,
-            engine: EngineKind::default(),
         }
     }
 }
 
-/// The typed events driving a simulation run. Both cores process the same
-/// sequence in the same `(time, seq)` order.
+/// The typed events driving a simulation run, processed in `(time, seq)`
+/// order.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum SimEvent {
     /// The fleet's STAT emission point: every live client observes its
@@ -215,9 +209,7 @@ pub(crate) enum SimEvent {
 }
 
 impl SimEvent {
-    /// Profiling scope name for this event kind, shared by both cores so
-    /// the per-kind self-time contrast in a profile compares like with
-    /// like (`dustctl profile`, EXPERIMENTS engine-core table).
+    /// Profiling scope name for this event kind (`dustctl profile`).
     pub(crate) fn scope_name(&self) -> &'static str {
         match self {
             SimEvent::StatEmission => "sim.event.stat_emission",
@@ -264,9 +256,8 @@ pub struct SimReport {
     /// Final simulated time, ms.
     pub end_ms: u64,
     /// Units of simulation work processed: queue events popped plus
-    /// messages delivered inline on an ideal wire. Identical for both
-    /// cores at the same configuration — a determinism cross-check and
-    /// the denominator of `dust-bench`'s events/sec.
+    /// messages delivered inline on an ideal wire. A determinism
+    /// cross-check and the denominator of `dust-bench`'s events/sec.
     pub events_processed: u64,
     /// Peak number of pending events observed in the queue.
     pub peak_queue_len: usize,
@@ -310,9 +301,9 @@ pub struct Simulation {
     pub(crate) dead: HashSet<NodeId>,
     /// Accepted transfers by request id. A `BTreeMap` so iteration order
     /// (flow evaluation, stale-transfer supersede traces) is a pure
-    /// function of contents — identical across cores and across runs.
+    /// function of contents — identical across runs.
     pub(crate) active: BTreeMap<RequestId, Transfer>,
-    /// Bumped whenever `active` changes; the event core's flow arena
+    /// Bumped whenever `active` changes; the event loop's flow arena
     /// rebuilds only when this moves.
     pub(crate) active_version: u64,
     /// Failure injections: `(when_ms, node)`.
@@ -694,10 +685,10 @@ impl Simulation {
         }
     }
 
-    /// Seed the queue exactly as both cores must see it: registrations
-    /// delivered at t = 0, then the periodic events, then injected kills
-    /// and revivals — the relative `seq` order at equal timestamps is part
-    /// of the determinism contract.
+    /// Seed the queue: registrations delivered at t = 0, then the
+    /// periodic events, then injected kills and revivals — the relative
+    /// `seq` order at equal timestamps is part of the determinism
+    /// contract.
     pub(crate) fn seed_queue(&mut self, q: &mut EventQueue<SimEvent>, report: &mut SimReport) {
         // Registration at t = 0: every client announces itself. Lost
         // registrations are retransmitted by the client on its next ticks.
@@ -723,7 +714,7 @@ impl Simulation {
     }
 
     /// Manager timer maintenance (offer expiry/backoff, keepalive
-    /// timeouts → REP). Shared by both cores.
+    /// timeouts → REP).
     pub(crate) fn handle_offer_maintenance(
         &mut self,
         now: u64,
@@ -738,7 +729,7 @@ impl Simulation {
         q.schedule_in(self.cfg.update_interval_ms, SimEvent::OfferMaintenance);
     }
 
-    /// One Manager placement round. Shared by both cores.
+    /// One Manager placement round.
     pub(crate) fn handle_placement_round(
         &mut self,
         now: u64,
@@ -757,9 +748,9 @@ impl Simulation {
         q.schedule_in(self.cfg.placement_period_ms, SimEvent::PlacementRound);
     }
 
-    /// Online SLO evaluation over the sample recorded at `now`. Shared by
-    /// both cores (the cost is proportional to fleet size only when an
-    /// engine is attached, so the hot path never pays it).
+    /// Online SLO evaluation over the sample recorded at `now` (the cost
+    /// is proportional to fleet size only when an engine is attached, so
+    /// the hot path never pays it).
     pub(crate) fn handle_slo_evaluation(&mut self, now: u64) {
         let traffic = self.traffic.fraction(now);
         let samples: Vec<(u32, f64)> = self
@@ -778,13 +769,12 @@ impl Simulation {
         self.record_breaches(now, &fired);
     }
 
-    /// Failure-storm check at a telemetry sample point. Shared by both
-    /// cores: nodes are visited in id order and CPU is computed through
-    /// the same pure function the sample loop uses, so the cascade
-    /// decision sequence is bit-identical across cores. A triggered node
-    /// is killed through the normal [`SimEvent::NodeKill`] path
-    /// `cascade_delay_ms` later, so each core's liveness bookkeeping
-    /// stays in sync.
+    /// Failure-storm check at a telemetry sample point: nodes are visited
+    /// in id order and CPU is computed through the same pure function the
+    /// sample loop uses, so the cascade decision sequence is a pure
+    /// function of the seed. A triggered node is killed through the
+    /// normal [`SimEvent::NodeKill`] path `cascade_delay_ms` later, so the
+    /// event loop's liveness bitmap stays in sync.
     pub(crate) fn handle_storm_check(&mut self, now: u64, q: &mut EventQueue<SimEvent>) {
         let Some(storm) = self.cfg.storm else { return };
         if now < storm.start_ms {
@@ -812,14 +802,14 @@ impl Simulation {
         }
     }
 
-    /// One churn step ([`SimConfig::drift`]). Shared by both cores: the
-    /// RNG is keyed on `(seed, now)` alone, so the draw sequence is a
-    /// pure function of the event time, never of core-local state.
+    /// One churn step ([`SimConfig::drift`]). The RNG is keyed on
+    /// `(seed, now)` alone, so the draw sequence is a pure function of
+    /// the event time, never of loop-local state.
     ///
     /// Link-capacity drift is written to *both* graph copies. The
     /// simulation's copy feeds telemetry-flow evaluation (utilization is
-    /// untouched — the traffic model owns it, and re-applies it lazily in
-    /// the event core). The Manager's copy feeds `T_rmin` pricing through
+    /// untouched — the traffic model owns it, and the event loop
+    /// re-applies it lazily). The Manager's copy feeds `T_rmin` pricing through
     /// [`dust_topology::Graph::link_mut`], whose dirty journal lets
     /// [`dust_topology::CostEngine::refresh`] re-price only the crossing
     /// rows at the next placement round.
@@ -857,14 +847,14 @@ impl Simulation {
         q.schedule_in(drift.period_ms, SimEvent::DriftTick);
     }
 
-    /// Crash `node`. Shared by both cores.
+    /// Crash `node`.
     pub(crate) fn handle_kill(&mut self, now: u64, n: NodeId) {
         self.dead.insert(n);
         self.obs.counter_inc("sim.nodes_killed");
         self.obs.trace_at(now, TraceEvent::NodeKilled { node: n.0 });
     }
 
-    /// Revive `node` with a fresh client. Shared by both cores.
+    /// Revive `node` with a fresh client.
     pub(crate) fn handle_revive(
         &mut self,
         now: u64,
@@ -899,136 +889,9 @@ impl Simulation {
         report.msgs_duplicated = stats.duplicated;
     }
 
-    /// Run to completion on the configured engine.
+    /// Run to completion.
     pub fn run(&mut self) -> SimReport {
-        match self.cfg.engine {
-            EngineKind::Tick => self.run_tick(),
-            EngineKind::Event => crate::event::run_event(self),
-        }
-    }
-
-    /// The legacy fixed-cadence core: every handler recomputes its state
-    /// from scratch each firing. Kept as the reference implementation the
-    /// event core is pinned against.
-    fn run_tick(&mut self) -> SimReport {
-        let mut report = Self::empty_report();
-        let mut q: EventQueue<SimEvent> = EventQueue::new();
-        self.seed_queue(&mut q, &mut report);
-
-        while let Some(ev) = q.pop() {
-            let now = ev.at_ms;
-            if now > self.cfg.duration_ms {
-                break;
-            }
-            report.events_processed += 1;
-            report.peak_queue_len = report.peak_queue_len.max(q.len());
-            // Mirror the sim clock so layers without one (cost engine,
-            // solvers) stamp their trace events with this time.
-            self.obs.set_now(now);
-            let _prof = self.obs.prof_scope(ev.event.scope_name());
-            match ev.event {
-                SimEvent::StatEmission => {
-                    let traffic = self.traffic.fraction(now);
-                    self.traffic.apply_to_links(
-                        &mut self.graph,
-                        now,
-                        self.cfg.link_jitter,
-                        self.cfg.seed,
-                    );
-                    let walk = self.obs.prof_scope("sim.resource_walk");
-                    for i in 0..self.nodes.len() {
-                        let id = self.nodes[i].id;
-                        if !self.alive(id) {
-                            continue;
-                        }
-                        let cpu = self.nodes[i].device_cpu_percent(now, traffic);
-                        let data = self.nodes[i].data_mb(traffic);
-                        self.clients[i].observe(cpu, data);
-                        for msg in self.clients[i].tick(now) {
-                            self.send_to_manager(now, msg, &mut q, &mut report);
-                        }
-                    }
-                    drop(walk);
-                    q.schedule_in(self.cfg.update_interval_ms, SimEvent::StatEmission);
-                }
-                SimEvent::OfferMaintenance => {
-                    self.handle_offer_maintenance(now, &mut q, &mut report);
-                }
-                SimEvent::PlacementRound => {
-                    self.handle_placement_round(now, &mut q, &mut report);
-                }
-                SimEvent::TelemetrySample => {
-                    let traffic = self.traffic.fraction(now);
-                    let batch = self.obs.prof_scope("sim.telemetry_batch");
-                    for n in &self.nodes {
-                        let cpu = n.device_cpu_percent(now, traffic);
-                        let mem = n.device_mem_percent();
-                        let db = report.federation.store_mut(n.id);
-                        db.append("device-cpu", now, cpu);
-                        db.append("device-mem", now, mem);
-                        db.append("monitor-cpu", now, n.monitoring_cpu_core_percent(now, traffic));
-                        if self.obs.is_enabled() {
-                            self.obs.observe("sim.node.cpu_percent", cpu);
-                            self.obs.observe("sim.node.mem_percent", mem);
-                        }
-                    }
-                    drop(batch);
-                    if self.obs.is_enabled() {
-                        self.obs.gauge_set("sim.active_transfers", self.active.len() as f64);
-                    }
-                    if self.slo.is_some() {
-                        q.schedule(now, SimEvent::SloEvaluation);
-                    }
-                    // Telemetry transport: every routed transfer streams its
-                    // owner's data over the chosen path at the lowest QoS
-                    // class (§III-C); record delivered rate and loss.
-                    let flows: Vec<TelemetryFlow> = self
-                        .active
-                        .values()
-                        .filter(|t| t.data_mb > 0.0)
-                        .filter_map(|t| {
-                            t.route.as_ref().map(|r| TelemetryFlow {
-                                owner: t.owner,
-                                host: t.host,
-                                route: r.clone(),
-                                data_mb: t.data_mb,
-                            })
-                        })
-                        .collect();
-                    if !flows.is_empty() {
-                        let outs = evaluate_flows(&self.graph, &flows, self.cfg.update_interval_ms);
-                        for (f, o) in flows.iter().zip(&outs) {
-                            let db = report.federation.store_mut(f.owner);
-                            db.append("telemetry-admitted-mbps", now, o.admitted_mbps);
-                            db.append("telemetry-dropped", now, o.dropped_fraction);
-                        }
-                    }
-                    self.handle_storm_check(now, &mut q);
-                    q.schedule_in(self.cfg.sample_period_ms, SimEvent::TelemetrySample);
-                }
-                SimEvent::SloEvaluation => {
-                    self.handle_slo_evaluation(now);
-                }
-                SimEvent::DriftTick => {
-                    self.handle_drift(now, &mut q);
-                }
-                SimEvent::NodeKill(n) => {
-                    self.handle_kill(now, n);
-                }
-                SimEvent::NodeRevive(n) => {
-                    self.handle_revive(now, n, &mut q, &mut report);
-                }
-                SimEvent::DeliverClient(env) => {
-                    self.deliver_manager_msg(now, env, &mut q, &mut report);
-                }
-                SimEvent::DeliverManager(msg) => {
-                    self.deliver_client_msg(now, &msg, &mut q, &mut report);
-                }
-            }
-            report.end_ms = now;
-        }
-        self.finish_report(&mut report);
-        report
+        crate::event::run_event(self)
     }
 
     /// Immutable view of the resource model (for assertions).
@@ -1076,10 +939,6 @@ mod tests {
 
     /// DUT (node 0) + idle server (node 1) on one link.
     fn two_node_sim(dust_enabled: bool) -> Simulation {
-        two_node_sim_on(dust_enabled, EngineKind::default())
-    }
-
-    fn two_node_sim_on(dust_enabled: bool, engine: EngineKind) -> Simulation {
         let g = topologies::line(2, Link::default());
         let nodes = vec![
             SimNode::with_standard_agents(NodeId(0), NodeSpec::aruba_8325()),
@@ -1095,7 +954,6 @@ mod tests {
             .dust(dust)
             .dust_enabled(dust_enabled)
             .duration_ms(60_000)
-            .engine(engine)
             .build()
             .expect("valid config")
     }
@@ -1123,26 +981,20 @@ mod tests {
         );
     }
 
+    /// The outcomes the removed uncached reference loop produced for
+    /// [`two_node_sim`]`(true)`; the event loop must reproduce them
+    /// bit-for-bit (series means as `f64` bit patterns).
     #[test]
     fn both_engines_report_identical_outcomes() {
-        let mut tick = two_node_sim_on(true, EngineKind::Tick);
-        let mut event = two_node_sim_on(true, EngineKind::Event);
-        let rt = tick.run();
-        let re = event.run();
-        assert_eq!(rt.transfers_applied, re.transfers_applied);
-        assert_eq!(rt.first_transfer_ms, re.first_transfer_ms);
-        assert_eq!(rt.events_processed, re.events_processed, "event accounting must agree");
-        assert_eq!(rt.peak_queue_len, re.peak_queue_len);
-        assert_eq!(rt.placement_rounds, re.placement_rounds);
-        assert_eq!(
-            rt.mean(NodeId(0), "device-cpu", 0, 60_000),
-            re.mean(NodeId(0), "device-cpu", 0, 60_000),
-            "recorded series must be bit-identical"
-        );
-        assert_eq!(
-            rt.mean(NodeId(0), "telemetry-admitted-mbps", 0, 60_000),
-            re.mean(NodeId(0), "telemetry-admitted-mbps", 0, 60_000),
-        );
+        let r = two_node_sim(true).run();
+        assert_eq!(r.transfers_applied, 2);
+        assert_eq!(r.first_transfer_ms, Some(5_000));
+        assert_eq!(r.events_processed, 377, "event accounting must match");
+        assert_eq!(r.peak_queue_len, 3);
+        assert_eq!(r.placement_rounds, 12);
+        let bits = |series: &str| r.mean(NodeId(0), series, 0, 60_000).map(f64::to_bits);
+        assert_eq!(bits("device-cpu"), Some(4_628_832_535_758_678_699), "≈ 28.9167 %");
+        assert_eq!(bits("telemetry-admitted-mbps"), Some(4_634_100_138_894_263_825), "≈ 63.26");
     }
 
     #[test]

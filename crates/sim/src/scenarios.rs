@@ -10,6 +10,7 @@
 
 use crate::engine::EngineKind;
 use crate::node::{NodeSpec, SimNode};
+use crate::registry::testbed_builder;
 use crate::runner::{SimReport, Simulation};
 use crate::traffic::TrafficModel;
 use crate::transport::FaultConfig;
@@ -192,19 +193,13 @@ pub struct CongestionResult {
 /// while the data plane is untouched — measured via the flow-transport
 /// series the runner records.
 pub fn congestion(duration_ms: u64, seed: u64) -> CongestionResult {
-    let (graph, dut) = testbed_topology();
+    let (_, dut) = testbed_topology();
     let squeeze_from = duration_ms / 2;
     // traffic ramps from the normal 20 % to a 99.9 % squeeze by mid-run,
     // then holds saturated for the whole second half
     let traffic = TrafficModel::Ramp { from: 0.2, to: 0.999, duration_ms: squeeze_from.max(1) };
-    let mut sim = Simulation::builder()
-        .graph(graph)
-        .nodes(testbed_nodes(dut))
+    let mut sim = testbed_builder(duration_ms, seed, ObsHandle::disabled())
         .traffic(traffic)
-        .dust(testbed_dust_config())
-        .duration_ms(duration_ms)
-        .seed(seed)
-        .full_monitoring_offload(true)
         .link_jitter(0.0)
         .build()
         .expect("congestion knobs are consistent");
@@ -280,20 +275,7 @@ pub fn chaos_with_faults_observed(
     seed: u64,
     obs: ObsHandle,
 ) -> ChaosResult {
-    chaos_with_faults_observed_on(faults, duration_ms, seed, obs, EngineKind::default())
-}
-
-/// [`chaos_with_faults_observed`] on an explicit simulation core — the
-/// `dustctl … --engine tick` compatibility path that pins the event core
-/// against the legacy tick core byte-for-byte.
-pub fn chaos_with_faults_observed_on(
-    faults: FaultConfig,
-    duration_ms: u64,
-    seed: u64,
-    obs: ObsHandle,
-    engine: EngineKind,
-) -> ChaosResult {
-    chaos_inner(faults, duration_ms, seed, obs, None, engine).0
+    chaos_inner(faults, duration_ms, seed, obs, None).0
 }
 
 /// [`chaos_with_faults_observed`] with an online SLO engine for `spec`
@@ -309,20 +291,8 @@ pub fn chaos_with_slo(
     obs: ObsHandle,
     spec: &SloSpec,
 ) -> (ChaosResult, SloEngine) {
-    chaos_with_slo_on(faults, duration_ms, seed, obs, spec, EngineKind::default())
-}
-
-/// [`chaos_with_slo`] on an explicit simulation core.
-pub fn chaos_with_slo_on(
-    faults: FaultConfig,
-    duration_ms: u64,
-    seed: u64,
-    obs: ObsHandle,
-    spec: &SloSpec,
-    engine: EngineKind,
-) -> (ChaosResult, SloEngine) {
     let slo = SloEngine::new(spec.clone(), testbed_dust_config().c_max);
-    let (result, slo) = chaos_inner(faults, duration_ms, seed, obs, Some(slo), engine);
+    let (result, slo) = chaos_inner(faults, duration_ms, seed, obs, Some(slo));
     (result, slo.expect("engine attached above"))
 }
 
@@ -332,22 +302,11 @@ fn chaos_inner(
     seed: u64,
     obs: ObsHandle,
     slo: Option<SloEngine>,
-    engine: EngineKind,
 ) -> (ChaosResult, Option<SloEngine>) {
-    let (graph, dut) = testbed_topology();
+    let (_, dut) = testbed_topology();
     let loss = faults.to_client.drop;
     let agents_expected = 10;
-    let mut builder = Simulation::builder()
-        .graph(graph)
-        .nodes(testbed_nodes(dut))
-        .traffic(TrafficModel::testbed())
-        .dust(testbed_dust_config())
-        .duration_ms(duration_ms)
-        .seed(seed)
-        .full_monitoring_offload(true)
-        .faults(faults)
-        .engine(engine)
-        .obs(obs);
+    let mut builder = testbed_builder(duration_ms, seed, obs).faults(faults);
     if let Some(slo) = slo {
         builder = builder.slo(slo);
     }
@@ -408,61 +367,16 @@ fn chaos_inner(
 /// The Fig. 5 testbed DUST run (full monitoring offload, perfect wire)
 /// recording into `obs` — the golden-trace regression scenario.
 pub fn testbed_observed(duration_ms: u64, seed: u64, obs: ObsHandle) -> SimReport {
-    testbed_observed_on(duration_ms, seed, obs, EngineKind::default())
-}
-
-/// [`testbed_observed`] on an explicit simulation core.
-pub fn testbed_observed_on(
-    duration_ms: u64,
-    seed: u64,
-    obs: ObsHandle,
-    engine: EngineKind,
-) -> SimReport {
-    let (graph, dut) = testbed_topology();
-    let mut sim = Simulation::builder()
-        .graph(graph)
-        .nodes(testbed_nodes(dut))
-        .traffic(TrafficModel::testbed())
-        .dust(testbed_dust_config())
-        .duration_ms(duration_ms)
-        .seed(seed)
-        .full_monitoring_offload(true)
-        .engine(engine)
-        .obs(obs)
-        .build()
-        .expect("testbed knobs are consistent");
-    sim.run()
+    testbed_builder(duration_ms, seed, obs).build().expect("testbed knobs are consistent").run()
 }
 
 /// How many copies of the standard ten-agent deployment every switch in
-/// [`scale_fleet`] carries: a deep per-node monitoring stack whose
-/// resource model the tick core re-walks on every emission and sample,
-/// and the event core computes once per epoch.
+/// the [`scale_fleet_sim_on`] fleet carries: a deep per-node monitoring
+/// stack whose resource model the event loop computes once per agent
+/// epoch instead of on every emission and sample.
 pub const SCALE_FLEET_AGENT_COPIES: usize = 40;
 
-/// The core-overhead bench scenario: a `k`-port fat-tree where *every*
-/// switch is a many-core telemetry appliance carrying
-/// [`SCALE_FLEET_AGENT_COPIES`] copies of the standard monitoring
-/// deployment. The core count keeps device-level CPU far below the Busy
-/// threshold, so the placement control plane stays quiet and the run is
-/// dominated by exactly the per-event machinery the event core optimizes
-/// — resource-model walks over the deep agent stacks, link-state
-/// application, sampling — not by protocol traffic, which both cores
-/// share. At `k = 90` this is a 10 125-node fleet processing > 100 000
-/// events over a 10-second run — the `BENCH_seed.json` workload.
-pub fn scale_fleet(k: usize, duration_ms: u64, seed: u64, engine: EngineKind) -> SimReport {
-    scale_fleet_sim(k, duration_ms, seed, engine).run()
-}
-
-/// The assembled-but-not-run [`scale_fleet`] simulation, so benchmarks
-/// can time [`Simulation::run`] in isolation — fleet construction is
-/// identical for both cores and would only dilute the measured core
-/// speedup.
-pub fn scale_fleet_sim(k: usize, duration_ms: u64, seed: u64, engine: EngineKind) -> Simulation {
-    scale_fleet_sim_on(k, duration_ms, seed, ObsHandle::disabled(), engine)
-}
-
-/// The interned deployment record every [`scale_fleet`] switch shares:
+/// The interned deployment record every [`scale_fleet_sim_on`] switch shares:
 /// [`SCALE_FLEET_AGENT_COPIES`] copies of the standard ten-agent
 /// deployment, built **once** per fleet. Before interning, construction
 /// materialised this 400-struct vector separately for each of the
@@ -477,16 +391,33 @@ pub fn scale_fleet_deployment() -> std::sync::Arc<Vec<dust_telemetry::MonitorAge
     )
 }
 
-/// [`scale_fleet_sim`] recording into `obs` — `dustctl profile
-/// scale_fleet` and the per-phase BENCH breakdown attach a profiling
-/// handle here. Pass [`ObsHandle::disabled`] for the plain benchmark
-/// run; the assembled fleet is bit-identical either way.
+/// The assembled-but-not-run `scale_fleet` benchmark simulation: a
+/// `k`-port fat-tree where *every* switch is a many-core telemetry
+/// appliance carrying [`SCALE_FLEET_AGENT_COPIES`] copies of the standard
+/// monitoring deployment. The core count keeps device-level CPU far
+/// below the Busy threshold, so the placement control plane stays quiet
+/// and the run is dominated by the per-event machinery — resource-model
+/// walks over the deep agent stacks, link-state application, sampling —
+/// not by protocol traffic. At `k = 90` this is a 10 125-node fleet
+/// processing > 100 000 events over a 10-second run — the
+/// `BENCH_seed.json` workload. Returned unrun so benchmarks can time
+/// [`Simulation::run`] alone.
+///
+/// `obs` records the run — `dustctl profile scale_fleet` and the
+/// per-phase BENCH breakdown attach a profiling handle here. Pass
+/// [`ObsHandle::disabled`] for the plain benchmark run; the assembled
+/// fleet is bit-identical either way.
+///
+/// `_engine` is ignored: there is one simulation core. The parameter
+/// stays so the standalone `perfbench` package, which passes
+/// [`EngineKind::Event`], keeps compiling until the next benchmark
+/// change drops it.
 pub fn scale_fleet_sim_on(
     k: usize,
     duration_ms: u64,
     seed: u64,
     obs: ObsHandle,
-    engine: EngineKind,
+    _engine: EngineKind,
 ) -> Simulation {
     use dust_topology::FatTree;
     let ft = FatTree::new(k, Link::new(25_000.0, 0.2));
@@ -511,7 +442,6 @@ pub fn scale_fleet_sim_on(
         .duration_ms(duration_ms)
         .sample_period_ms(150)
         .seed(seed)
-        .engine(engine)
         .obs(obs)
         .build()
         .expect("scale knobs are consistent")
@@ -593,21 +523,20 @@ mod tests {
 
     #[test]
     fn scale_fleet_cores_agree_and_stay_idle() {
-        // small k keeps the test fast; the bench binary runs the real k=90
-        let ev = scale_fleet(4, 3_000, 9, EngineKind::Event);
-        let tk = scale_fleet(4, 3_000, 9, EngineKind::Tick);
+        // small k keeps the test fast; the benchmark runs the real k=90
+        let r = scale_fleet_sim_on(4, 3_000, 9, ObsHandle::disabled(), EngineKind::Event).run();
         // under paper-default thresholds nobody classifies Busy…
-        assert_eq!(ev.transfers_applied, 0, "paper defaults must not trigger offload");
-        // …but the STAT pipeline runs fleet-wide on both cores identically
-        assert!(ev.events_processed > 100);
-        assert_eq!(ev.events_processed, tk.events_processed);
-        assert_eq!(ev.peak_queue_len, tk.peak_queue_len);
-        assert_eq!(ev.end_ms, tk.end_ms);
+        assert_eq!(r.transfers_applied, 0, "paper defaults must not trigger offload");
+        // …but the STAT pipeline runs fleet-wide, at the counts the
+        // removed uncached reference core also produced
+        assert_eq!(r.events_processed, 127);
+        assert_eq!(r.peak_queue_len, 3);
+        assert_eq!(r.end_ms, 3_000);
     }
 
     #[test]
     fn scale_fleet_shares_one_deployment_record() {
-        let sim = scale_fleet_sim(8, 1_000, 1, EngineKind::Event);
+        let sim = scale_fleet_sim_on(8, 1_000, 1, ObsHandle::disabled(), EngineKind::Event);
         // the quiet control plane never mutates an agent list, so every
         // node must still point at the single interned record
         assert!(sim.nodes().iter().all(|n| n.agents_interned()));
